@@ -2,17 +2,22 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path perfbench/Cargo.toml -- \
-//!     --workload search-small --seed 1 --seconds 20 --trace 0
+//!     --predict-rate 200 --publish-rate 20 --limit-ms 15 \
+//!     --workload pipeline-small --seed 1 --seconds 45 --trace 0
 //! ```
 //!
-//! Each workload repeats one fixed unit of work (a pass) until
-//! `--seconds` have been measured, checks every output, and prints its
-//! metrics: a human-readable table, then one JSON object as the last
-//! line of standard output. With `--trace 0` the metrics are the
-//! end-to-end ones; with `--trace 1` the same passes run, then one
-//! traced pass and the layer probes, and the metrics are the per-layer
-//! ones plus the tracing overhead. See `LAYERS.md` for which layer
-//! metric should move which end-to-end metric on which workload.
+//! Every workload runs the same three phases: a search (`AutoMl::fit`),
+//! serving (an open-loop predict and publish load on an in-process
+//! server) and streaming (closed-loop pushes of a drifting stream). The
+//! workloads differ in the table the search fits. Each phase has one
+//! fixed unit of work (a pass); the phases take turns, one pass each,
+//! until `--seconds` have been measured. Each phase checks every output
+//! and reports its metrics; the run prints them as a human-readable table,
+//! then one JSON object as the last line of standard output. With
+//! `--trace 0` the metrics are the end-to-end ones; with `--trace 1` the
+//! same passes run, followed by the layer probes, and the metrics are
+//! the per-layer ones. See `LAYERS.md` for which layer metric should
+//! move which end-to-end metric on which workload.
 
 mod http;
 mod search;
@@ -25,17 +30,17 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-/// Parsed command line. The serve constants are also spelled out in the
-/// command in `BENCHMARK.json`, so they are fixed for every run of every
-/// commit; the defaults here are the same values.
+/// Parsed command line. The serve constants have no defaults: the
+/// command in `BENCHMARK.json` is the one place that sets them, so they
+/// are fixed for every run of every commit.
 pub struct Args {
     pub workload: String,
     pub seed: u64,
     pub seconds: f64,
     pub trace: bool,
-    /// Open-loop `/predict` requests per second (`serve-mixed`).
+    /// Open-loop `/predict` requests per second (serving phase).
     pub predict_rate: f64,
-    /// Open-loop blob publishes per second (`serve-mixed`).
+    /// Open-loop blob publishes per second (serving phase).
     pub publish_rate: f64,
     /// Latency limit a predict must meet to count towards goodput.
     pub limit_ms: f64,
@@ -43,15 +48,9 @@ pub struct Args {
 
 impl Args {
     fn parse() -> Result<Args, String> {
-        let mut args = Args {
-            workload: String::new(),
-            seed: 1,
-            seconds: 20.0,
-            trace: false,
-            predict_rate: 200.0,
-            publish_rate: 20.0,
-            limit_ms: 100.0,
-        };
+        let mut workload = String::new();
+        let (mut seed, mut seconds, mut trace) = (1, None, false);
+        let (mut predict_rate, mut publish_rate, mut limit_ms) = (None, None, None);
         let argv: Vec<String> = std::env::args().skip(1).collect();
         let mut it = argv.iter();
         while let Some(flag) = it.next() {
@@ -61,20 +60,29 @@ impl Args {
                 .as_str();
             let num = |v: &str| v.parse::<f64>().map_err(|_| format!("bad {flag} {v:?}"));
             match flag.as_str() {
-                "--workload" => args.workload = value.to_string(),
-                "--seed" => args.seed = value.parse().map_err(|_| format!("bad seed {value:?}"))?,
-                "--seconds" => args.seconds = num(value)?,
-                "--trace" => args.trace = value == "1",
-                "--predict-rate" => args.predict_rate = num(value)?,
-                "--publish-rate" => args.publish_rate = num(value)?,
-                "--limit-ms" => args.limit_ms = num(value)?,
+                "--workload" => workload = value.to_string(),
+                "--seed" => seed = value.parse().map_err(|_| format!("bad seed {value:?}"))?,
+                "--seconds" => seconds = Some(num(value)?),
+                "--trace" => trace = value == "1",
+                "--predict-rate" => predict_rate = Some(num(value)?),
+                "--publish-rate" => publish_rate = Some(num(value)?),
+                "--limit-ms" => limit_ms = Some(num(value)?),
                 _ => return Err(format!("unknown flag {flag}")),
             }
         }
-        if !(args.seconds > 0.0 && args.predict_rate > 0.0 && args.publish_rate > 0.0) {
-            return Err("--seconds and the rates must be positive".to_string());
-        }
-        Ok(args)
+        let required = |v: Option<f64>, flag: &str| {
+            v.filter(|x| *x > 0.0)
+                .ok_or_else(|| format!("{flag} is required and must be positive"))
+        };
+        Ok(Args {
+            workload,
+            seed,
+            seconds: required(seconds, "--seconds")?,
+            trace,
+            predict_rate: required(predict_rate, "--predict-rate")?,
+            publish_rate: required(publish_rate, "--publish-rate")?,
+            limit_ms: required(limit_ms, "--limit-ms")?,
+        })
     }
 }
 
@@ -85,10 +93,13 @@ pub struct Metric {
     pub unit: &'static str,
 }
 
-/// What a workload hands back: its metrics plus the operation counts.
+/// What a phase hands back: its metrics plus the operation counts.
 #[derive(Default)]
 pub struct Report {
     pub metrics: Vec<Metric>,
+    /// The phase's median set-up time in seconds; the run's `setup_s`
+    /// is the sum over its phases.
+    pub setup_s: f64,
     pub attempted: u64,
     pub failed: u64,
     /// Why the run is not correct, one line per failed check.
@@ -110,6 +121,16 @@ impl Report {
     pub fn fail(&mut self, msg: impl Into<String>) {
         self.failed += 1;
         self.errors.push(msg.into());
+    }
+
+    /// Adds a finished phase's metrics, counts and set-up time.
+    fn absorb(&mut self, phase: Report) {
+        self.metrics.extend(phase.metrics);
+        self.setup_s += phase.setup_s;
+        self.attempted += phase.attempted;
+        self.failed += phase.failed;
+        self.errors.extend(phase.errors);
+        self.notes.extend(phase.notes);
     }
 }
 
@@ -150,15 +171,20 @@ pub fn peak_rss_mb() -> f64 {
         .map_or(f64::NAN, |kb| kb / 1024.0)
 }
 
-/// Runs passes of `pass` until `seconds` of measurement have elapsed,
-/// with at least `min_passes`. Returns the pass results in order.
-pub fn repeat<T>(seconds: f64, min_passes: usize, mut pass: impl FnMut(usize) -> T) -> Vec<T> {
+/// Rounds of passes (one pass of each phase) a run makes at least: four
+/// stream passes make over 1000 pushes, and a median of four passes
+/// leaves out the two extremes.
+const MIN_ROUNDS: usize = 4;
+
+/// Runs `round` until `seconds` have elapsed, at least `min_rounds`
+/// times.
+fn repeat(seconds: f64, min_rounds: usize, mut round: impl FnMut()) {
     let started = Instant::now();
-    let mut out = Vec::new();
-    while out.len() < min_passes || started.elapsed().as_secs_f64() < seconds {
-        out.push(pass(out.len()));
+    let mut done = 0;
+    while done < min_rounds || started.elapsed().as_secs_f64() < seconds {
+        round();
+        done += 1;
     }
-    out
 }
 
 fn json_line(correct: bool, report: &Report) -> String {
@@ -190,6 +216,14 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    let spec = match args.workload.as_str() {
+        "pipeline-small" => search::Spec::small(),
+        "pipeline-large" => search::Spec::large(),
+        other => {
+            eprintln!("perfbench: unknown workload {other:?}");
+            return ExitCode::from(2);
+        }
+    };
     let work = match Workdir::new(&args.workload, args.seed) {
         Ok(w) => w,
         Err(e) => {
@@ -198,16 +232,27 @@ fn main() -> ExitCode {
         }
     };
     let mut tracer = trace::Tracer::new(args.trace);
-    let report = match args.workload.as_str() {
-        "search-large" => search::run(&args, &work, &mut tracer, search::Spec::large()),
-        "search-small" => search::run(&args, &work, &mut tracer, search::Spec::small()),
-        "serve-mixed" => serve::run(&args, &work, &mut tracer),
-        "stream-drift" => stream::run(&args, &work, &mut tracer),
-        other => {
-            eprintln!("perfbench: unknown workload {other:?}");
-            return ExitCode::from(2);
-        }
-    };
+    // The phases take turns, one pass each, so each phase's passes are
+    // spread over the whole run and see the same host as the others.
+    let mut search = search::Phase::new(spec, args.seed, &work);
+    let mut serve = serve::Phase::new(&args, &work);
+    let mut stream = stream::Phase::new(&work);
+    repeat(args.seconds, MIN_ROUNDS, || {
+        search.pass();
+        serve.pass();
+        stream.pass();
+    });
+    let mut report = Report::default();
+    tracer.phase(1);
+    report.absorb(search.finish(&mut tracer));
+    tracer.phase(2);
+    report.absorb(serve.finish(&work, &mut tracer));
+    tracer.phase(3);
+    report.absorb(stream.finish(&mut tracer));
+    if !args.trace {
+        report.push("setup_s", report.setup_s, "s");
+        report.push("peak_rss_mb", peak_rss_mb(), "MiB");
+    }
     let _ = std::fs::remove_dir_all(&work.tmp);
     if args.trace {
         let path = work

@@ -1,5 +1,5 @@
-//! `serve-mixed`: an in-process `flaml-server` with the default config
-//! serves a published roster (GBDT, forest, linear, stacked) to an
+//! The serving phase: an in-process `flaml-server` with the default
+//! config serves a published roster (GBDT, forest, linear, stacked) to an
 //! open-loop schedule of `/predict` requests over two keep-alive
 //! connections, while blob-artifact publishes arrive at a low fixed rate
 //! over one-shot connections.
@@ -7,7 +7,7 @@
 use crate::http::{one_shot, Conn};
 use crate::stats::{median, percentile, Digest};
 use crate::trace::Tracer;
-use crate::{peak_rss_mb, repeat, Args, Report, Workdir};
+use crate::{Args, Report, Workdir};
 use flaml_bench::roster::{fit_roster, pred_bits};
 use flaml_core::{
     atomic_write_file, encode_blob, BatchEngine, BlobModel, BlobOptions, CompiledModel,
@@ -23,11 +23,17 @@ use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 const TENANT: &str = "bench";
+/// Seed of the roster's training set and of its fits. The served models
+/// are a constant of the benchmark, like the searched data of the search
+/// phase: `--seed` draws only the request rows and the schedule.
+const ROSTER_SEED: u64 = 0;
 /// Rows and features of the roster's training set.
 const TRAIN_ROWS: usize = 2_000;
 const FEATURES: usize = 10;
-/// Request sizes in rows and their shares of the schedule. The
-/// cumulative shares (0.3, 0.9) stay clear of 0.5, so the median falls
+/// Request sizes in rows and their shares of the schedule. The sizes are
+/// the load's definition; the shares are an assumption, not measured
+/// traffic (no traffic trace is recorded in this repository). They keep
+/// the cumulative shares (0.3, 0.9) clear of 0.5, so the median falls
 /// inside one size class (r64) rather than on the boundary between two.
 const SIZES: [(usize, &str, f64); 3] = [(1, "r1", 0.3), (64, "r64", 0.6), (1024, "r1024", 0.1)];
 /// Distinct request bodies per (model, size): the schedule draws from
@@ -38,6 +44,9 @@ const BODIES: usize = 4;
 const PASS_SECONDS: f64 = 5.0;
 /// Predict connections (keep-alive), each owning every other request.
 const CONNECTIONS: usize = 2;
+/// Set-ups per run. `setup_s` is their median; the last one serves
+/// every pass.
+const SETUPS: usize = 3;
 
 struct Body {
     model: usize,
@@ -46,7 +55,8 @@ struct Body {
     rows: Dataset,
 }
 
-/// Everything a pass serves, generated from the seed.
+/// Everything the passes serve: the constant roster and the request
+/// bodies drawn from the seed.
 struct Inputs {
     names: Vec<&'static str>,
     blobs: Vec<Vec<u8>>,
@@ -54,8 +64,8 @@ struct Inputs {
 }
 
 fn make_inputs(seed: u64) -> Inputs {
-    let train = flaml_synth::friedman1(TRAIN_ROWS, FEATURES, 1.0, seed);
-    let roster = fit_roster(&train, seed);
+    let train = flaml_synth::friedman1(TRAIN_ROWS, FEATURES, 1.0, ROSTER_SEED);
+    let roster = fit_roster(&train, ROSTER_SEED);
     let mut names = Vec::new();
     let mut blobs = Vec::new();
     for (name, model) in &roster {
@@ -90,6 +100,16 @@ fn make_inputs(seed: u64) -> Inputs {
         blobs,
         bodies,
     }
+}
+
+/// Digest of the roster blobs and request bodies a set-up built.
+fn digest(inputs: &Inputs) -> u64 {
+    let d = inputs.blobs.iter().fold(Digest::new(), |d, b| d.bytes(b));
+    inputs
+        .bodies
+        .iter()
+        .fold(d, |d, b| d.bytes(b.json.as_bytes()))
+        .0
 }
 
 /// The open-loop schedule: request `i` is due at `i / rate` seconds and
@@ -133,44 +153,49 @@ impl Done {
     }
 }
 
-struct ServePass {
+/// What the passes share: the inputs, the schedule and the server.
+struct Load {
     inputs: Inputs,
     schedule: Vec<usize>,
-    setup_s: f64,
-    digest: u64,
-    elapsed_s: f64,
-    predicts: Vec<Done>,
-    publishes: Vec<Done>,
-    stats_ms: f64,
+    addr: SocketAddr,
 }
 
-impl ServePass {
+impl Load {
     /// The request body a finished predict carried.
     fn body(&self, d: &Done) -> &Body {
         &self.inputs.bodies[self.schedule[d.index]]
     }
 }
 
-fn start_server(work: &Workdir, name: &str) -> std::io::Result<(Server, SocketAddr)> {
-    let cfg = ServerConfig {
-        root: work.fresh(name),
-        ..ServerConfig::default()
-    };
-    Server::new(cfg)?.start("127.0.0.1:0")
+struct ServePass {
+    elapsed_s: f64,
+    predicts: Vec<Done>,
+    publishes: Vec<Done>,
+    stats_ms: f64,
 }
 
 fn publish_path(slot: &str) -> String {
     format!("/tenants/{TENANT}/slots/{slot}")
 }
 
-fn one_pass(args: &Args, work: &Workdir, pass: usize, report: &mut Report) -> Option<ServePass> {
-    let t0 = Instant::now();
+/// One set-up: the roster and request bodies, a fresh server with the
+/// default config (except root and port), and the roster published to it.
+fn set_up(
+    args: &Args,
+    work: &Workdir,
+    i: usize,
+    report: &mut Report,
+) -> Option<(Inputs, Server, SocketAddr)> {
     let inputs = make_inputs(args.seed);
     if inputs.names.is_empty() {
         report.fail("the serving roster failed to fit");
         return None;
     }
-    let (server, addr) = match start_server(work, &format!("server{pass}")) {
+    let cfg = ServerConfig {
+        root: work.fresh(&format!("serve{i}")),
+        ..ServerConfig::default()
+    };
+    let (server, addr) = match Server::new(cfg).and_then(|s| s.start("127.0.0.1:0")) {
         Ok(s) => s,
         Err(e) => {
             report.fail(format!("server start failed: {e}"));
@@ -184,24 +209,17 @@ fn one_pass(args: &Args, work: &Workdir, pass: usize, report: &mut Report) -> Op
             other => report.fail(format!("roster publish of {name} failed: {other:?}")),
         }
     }
-    let setup_s = t0.elapsed().as_secs_f64();
+    Some((inputs, server, addr))
+}
 
-    let schedule = make_schedule(args.seed, args.predict_rate, inputs.names.len());
+fn one_pass(args: &Args, load: &Load, report: &mut Report) -> ServePass {
+    let (schedule, inputs, addr) = (&load.schedule, &load.inputs, load.addr);
     let n_publish = (PASS_SECONDS * args.publish_rate).round() as usize;
-    let digest = inputs.blobs.iter().fold(Digest::new(), |d, b| d.bytes(b));
-    let digest = schedule
-        .iter()
-        .fold(digest, |d, &b| d.word(b as u64))
-        .word(n_publish as u64)
-        .0;
-
     let start = Instant::now() + Duration::from_millis(20);
     let due = |i: usize| start + Duration::from_secs_f64(i as f64 / args.predict_rate);
     let (predicts, publishes) = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..CONNECTIONS)
             .map(|c| {
-                let schedule = &schedule;
-                let inputs = &inputs;
                 scope.spawn(move || {
                     let mut conn = Conn::open(addr).ok();
                     let mut out = Vec::new();
@@ -264,13 +282,9 @@ fn one_pass(args: &Args, work: &Workdir, pass: usize, report: &mut Report) -> Op
         predicts.sort_by_key(|d| d.index);
         (predicts, publisher.join().expect("publisher thread"))
     });
-    let last = predicts
-        .iter()
-        .chain(&publishes)
-        .map(|d| d.end)
-        .max()
-        .unwrap_or(start);
-    let elapsed_s = (last - start).as_secs_f64().max(PASS_SECONDS);
+    // Goodput's time base: the first due time to the last predict answer.
+    let last = predicts.iter().map(|d| d.end).max().unwrap_or(start);
+    let elapsed_s = (last - start).as_secs_f64();
 
     let mut stats = Vec::new();
     for _ in 0..3 {
@@ -280,19 +294,13 @@ fn one_pass(args: &Args, work: &Workdir, pass: usize, report: &mut Report) -> Op
             other => report.fail(format!("GET /stats failed: {other:?}")),
         }
     }
-    server.stop();
-
-    verify(&inputs, &schedule, &predicts, &publishes, report);
-    Some(ServePass {
-        inputs,
-        schedule,
-        setup_s,
-        digest,
+    verify(load, &predicts, &publishes, report);
+    ServePass {
         elapsed_s,
         predicts,
         publishes,
         stats_ms: median(&stats),
-    })
+    }
 }
 
 fn sleep_until(at: Instant) {
@@ -305,13 +313,8 @@ fn sleep_until(at: Instant) {
 /// Every predict must return exactly the bits an in-process prediction
 /// of the same rows on the same artifact gives; every publish must
 /// succeed with a new version.
-fn verify(
-    inputs: &Inputs,
-    schedule: &[usize],
-    predicts: &[Done],
-    publishes: &[Done],
-    report: &mut Report,
-) {
+fn verify(load: &Load, predicts: &[Done], publishes: &[Done], report: &mut Report) {
+    let inputs = &load.inputs;
     let models: Vec<BlobModel> = inputs
         .blobs
         .iter()
@@ -320,7 +323,7 @@ fn verify(
     let mut expected: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
     for d in predicts {
         report.attempted += 1;
-        let b = schedule[d.index];
+        let b = load.schedule[d.index];
         let want = expected.entry(b).or_insert_with(|| {
             let body = &inputs.bodies[b];
             pred_bits(&models[body.model].predict(&body.rows))
@@ -361,73 +364,142 @@ fn verify(
     }
 }
 
-struct EndToEnd {
-    setup_s: f64,
-    p50: f64,
-    p99: f64,
-    goodput: f64,
-    pub_p50: f64,
-    pub_p90: f64,
+/// Latency percentile `q` of a list of finished requests, in ms.
+fn latency(list: &[&Done], q: f64) -> f64 {
+    percentile(&list.iter().map(|d| d.latency_ms()).collect::<Vec<_>>(), q)
 }
 
-impl EndToEnd {
-    /// Each figure is computed per pass (a pass has at least ten
-    /// samples beyond each percentile) and the median over passes is
-    /// reported, so one pass hit by a host stall does not set it.
-    fn of(passes: &[ServePass], limit_ms: f64) -> EndToEnd {
-        let per_pass =
-            |f: &dyn Fn(&ServePass) -> f64| median(&passes.iter().map(f).collect::<Vec<_>>());
-        let lat = |list: &[Done], q: f64| {
-            percentile(&list.iter().map(Done::latency_ms).collect::<Vec<_>>(), q)
+/// Each figure is computed per pass (a pass has at least ten samples
+/// beyond each percentile) and the median over passes is reported, so
+/// one pass hit by a host stall does not set it.
+fn end_to_end(load: &Load, passes: &[ServePass], limit_ms: f64, report: &mut Report) {
+    let per_pass =
+        |f: &dyn Fn(&ServePass) -> f64| median(&passes.iter().map(f).collect::<Vec<_>>());
+    let lat = |list: &[Done], q: f64| latency(&list.iter().collect::<Vec<_>>(), q);
+    report.push("predict.p50_ms", per_pass(&|p| lat(&p.predicts, 0.5)), "ms");
+    report.push(
+        "predict.p99_ms",
+        per_pass(&|p| lat(&p.predicts, 0.99)),
+        "ms",
+    );
+    let goodput = per_pass(&|p| {
+        let rows: usize = p
+            .predicts
+            .iter()
+            .filter(|d| d.status == 200 && d.latency_ms() <= limit_ms)
+            .map(|d| load.body(d).rows.n_rows())
+            .sum();
+        rows as f64 / p.elapsed_s
+    });
+    report.push("predict.goodput_rows_per_s", goodput, "rows/s");
+    report.push(
+        "publish.p50_ms",
+        per_pass(&|p| lat(&p.publishes, 0.5)),
+        "ms",
+    );
+    report.push(
+        "publish.p90_ms",
+        per_pass(&|p| lat(&p.publishes, 0.9)),
+        "ms",
+    );
+}
+
+/// The serving phase of one run: the load, the server that serves it
+/// and the passes so far.
+pub struct Phase<'a> {
+    args: &'a Args,
+    served: Option<(Load, Server)>,
+    setup_s: Vec<f64>,
+    passes: Vec<ServePass>,
+    report: Report,
+}
+
+impl<'a> Phase<'a> {
+    /// Sets up `SETUPS` times; the last set-up's server serves every
+    /// pass. After a failed set-up the phase runs no passes.
+    pub fn new(args: &'a Args, work: &Workdir) -> Phase<'a> {
+        let mut report = Report::default();
+        let mut setup_s = Vec::new();
+        let mut served: Option<(Inputs, Server, SocketAddr)> = None;
+        for i in 0..SETUPS {
+            let t0 = Instant::now();
+            let Some(next) = set_up(args, work, i, &mut report) else {
+                if let Some((_, server, _)) = served.take() {
+                    server.stop();
+                }
+                break;
+            };
+            setup_s.push(t0.elapsed().as_secs_f64());
+            if let Some((prev, server, _)) = served.replace(next) {
+                server.stop();
+                // The same-work guard: every set-up serves the same bytes.
+                if digest(&prev) != digest(&served.as_ref().expect("set up").0) {
+                    report.fail(format!("serve set-up {i} built a different roster"));
+                }
+            }
+        }
+        let served = served.map(|(inputs, server, addr)| {
+            let schedule = make_schedule(args.seed, args.predict_rate, inputs.names.len());
+            let load = Load {
+                inputs,
+                schedule,
+                addr,
+            };
+            (load, server)
+        });
+        Phase {
+            args,
+            served,
+            setup_s,
+            passes: Vec::new(),
+            report,
+        }
+    }
+
+    /// One replay of the schedule.
+    pub fn pass(&mut self) {
+        if let Some((load, _)) = &self.served {
+            let pass = one_pass(self.args, load, &mut self.report);
+            self.passes.push(pass);
+        }
+    }
+
+    /// Stops the server and reports the phase's metrics; with tracing
+    /// on, runs the layer probes and the closed-loop probe first.
+    pub fn finish(self, work: &Workdir, tracer: &mut Tracer) -> Report {
+        let Phase {
+            args,
+            served,
+            setup_s,
+            passes,
+            report,
+        } = self;
+        let Some((load, server)) = served else {
+            return report;
         };
-        EndToEnd {
-            setup_s: per_pass(&|p| p.setup_s),
-            p50: per_pass(&|p| lat(&p.predicts, 0.5)),
-            p99: per_pass(&|p| lat(&p.predicts, 0.99)),
-            goodput: per_pass(&|p| {
-                let rows: usize = p
-                    .predicts
-                    .iter()
-                    .filter(|d| d.status == 200 && d.latency_ms() <= limit_ms)
-                    .map(|d| p.body(d).rows.n_rows())
-                    .sum();
-                rows as f64 / p.elapsed_s
-            }),
-            pub_p50: per_pass(&|p| lat(&p.publishes, 0.5)),
-            pub_p90: per_pass(&|p| lat(&p.publishes, 0.9)),
-        }
-    }
-
-    fn values(&self) -> [(&'static str, f64, &'static str); 6] {
-        [
-            ("setup_s", self.setup_s, "s"),
-            ("predict.p50_ms", self.p50, "ms"),
-            ("predict.p99_ms", self.p99, "ms"),
-            ("predict.goodput_rows_per_s", self.goodput, "rows/s"),
-            ("publish.p50_ms", self.pub_p50, "ms"),
-            ("publish.p90_ms", self.pub_p90, "ms"),
-        ]
+        let report = if passes.is_empty() {
+            report
+        } else {
+            finish(args, &load, &passes, setup_s, report, work, tracer)
+        };
+        server.stop();
+        report
     }
 }
 
-pub fn run(args: &Args, work: &Workdir, tracer: &mut Tracer) -> Report {
-    let mut report = Report::default();
-    let passes: Vec<ServePass> = repeat(args.seconds, 2, |i| one_pass(args, work, i, &mut report))
-        .into_iter()
-        .flatten()
-        .collect();
-    if passes.is_empty() {
-        return report;
-    }
-    for (i, p) in passes.iter().enumerate().skip(1) {
-        if p.digest != passes[0].digest {
-            report.fail(format!("serve pass {i} ran a different schedule"));
-        }
-    }
-    let e2e = EndToEnd::of(&passes, args.limit_ms);
+fn finish(
+    args: &Args,
+    load: &Load,
+    passes: &[ServePass],
+    setup_s: Vec<f64>,
+    mut report: Report,
+    work: &Workdir,
+    tracer: &mut Tracer,
+) -> Report {
+    report.setup_s = median(&setup_s);
     report.notes.push(format!(
-        "{} passes, each {} predicts at {}/s and {} publishes at {}/s (percentiles per pass, \
-         median over passes); goodput limit {} ms",
+        "serve: {} passes on one server, each {} predicts at {}/s and {} publishes at {}/s \
+         (percentiles per pass, median over passes); goodput limit {} ms",
         passes.len(),
         passes[0].predicts.len(),
         args.predict_rate,
@@ -435,43 +507,42 @@ pub fn run(args: &Args, work: &Workdir, tracer: &mut Tracer) -> Report {
         args.publish_rate,
         args.limit_ms
     ));
+    for (size, &(_, tag, _)) in SIZES.iter().enumerate() {
+        let class: Vec<&Done> = passes
+            .iter()
+            .flat_map(|p| &p.predicts)
+            .filter(|d| load.body(d).size == size)
+            .collect();
+        report.notes.push(format!(
+            "{tag}: {} predicts, latency p50 {:.3} p90 {:.3} p99 {:.3} max {:.3} ms",
+            class.len(),
+            latency(&class, 0.5),
+            latency(&class, 0.9),
+            latency(&class, 0.99),
+            latency(&class, 1.0)
+        ));
+    }
     if !tracer.on() {
-        for (name, value, unit) in e2e.values() {
-            report.push(name, value, unit);
-        }
-        report.push("peak_rss_mb", peak_rss_mb(), "MiB");
+        end_to_end(load, passes, args.limit_ms, &mut report);
         return report;
     }
 
-    // Traced pass: a span per request, sharing the request's trace id.
-    let Some(traced) = one_pass(args, work, passes.len(), &mut report) else {
-        return report;
-    };
-    if traced.digest != passes[0].digest {
-        report.fail("traced serve pass ran a different schedule");
-    }
-    let kinds = [
-        (&traced.predicts, 0u64, "predict.request", "predict.send"),
-        (
-            &traced.publishes,
-            1 << 32,
-            "publish.request",
-            "publish.send",
-        ),
-    ];
-    for (list, offset, request, send) in kinds {
-        for d in list {
-            let trace = offset + d.index as u64;
-            let span = tracer.record(trace, None, request, d.due, d.end);
-            tracer.record(trace, Some(span), send, d.sent, d.end);
+    // Spans from the timestamps every pass takes anyway: tracing does no
+    // work during the load, so it has no overhead to report here.
+    for (p, pass) in passes.iter().enumerate() {
+        let kinds = [
+            (&pass.predicts, 0u64, "predict.request", "predict.send"),
+            (&pass.publishes, 1, "publish.request", "publish.send"),
+        ];
+        for (list, kind, request, send) in kinds {
+            for d in list {
+                let trace = (p as u64) << 33 | kind << 32 | d.index as u64;
+                let span = tracer.record(trace, None, request, d.due, d.end);
+                tracer.record(trace, Some(span), send, d.sent, d.end);
+            }
         }
     }
-    let traced_e2e = EndToEnd::of(std::slice::from_ref(&traced), args.limit_ms);
-    for ((name, base, unit), (_, with, _)) in e2e.values().into_iter().zip(traced_e2e.values()) {
-        report.push(format!("trace_overhead.{name}"), with - base, unit);
-    }
-
-    layer_probes(&passes, work, &mut report);
+    layer_probes(load, passes, work, &mut report);
     let late: Vec<f64> = passes
         .iter()
         .flat_map(|p| {
@@ -486,7 +557,7 @@ pub fn run(args: &Args, work: &Workdir, tracer: &mut Tracer) -> Report {
         median(&passes.iter().map(|p| p.stats_ms).collect::<Vec<_>>()),
         "ms",
     );
-    closed_loop(args, work, &passes[0], &mut report);
+    closed_loop(load, &mut report);
     report
 }
 
@@ -503,8 +574,8 @@ fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
 
 /// Each server-side step of a request or a publish, called directly on
 /// the exact bodies the load sent.
-fn layer_probes(passes: &[ServePass], work: &Workdir, report: &mut Report) {
-    let inputs = &passes[0].inputs;
+fn layer_probes(load: &Load, passes: &[ServePass], work: &Workdir, report: &mut Report) {
+    let inputs = &load.inputs;
     let compiled: Vec<CompiledModel> = inputs
         .blobs
         .iter()
@@ -554,7 +625,7 @@ fn layer_probes(passes: &[ServePass], work: &Workdir, report: &mut Report) {
             &passes
                 .iter()
                 .flat_map(|p| p.predicts.iter())
-                .filter(|d| passes[0].body(d).size == size)
+                .filter(|d| load.body(d).size == size)
                 .map(Done::latency_ms)
                 .collect::<Vec<_>>(),
             0.5,
@@ -598,20 +669,10 @@ fn layer_probes(passes: &[ServePass], work: &Workdir, report: &mut Report) {
 
 /// Closed-loop capacity: both connections send their next request as
 /// soon as the previous answer arrives, over the same request mix. The
-/// open-loop rate in `BENCHMARK.json` was set to about half of this.
-fn closed_loop(args: &Args, work: &Workdir, pass: &ServePass, report: &mut Report) {
-    let (inputs, schedule) = (&pass.inputs, &pass.schedule);
-    let (server, addr) = match start_server(work, "closed-loop") {
-        Ok(s) => s,
-        Err(e) => {
-            report.fail(format!("server start failed: {e}"));
-            return;
-        }
-    };
-    for (name, blob) in inputs.names.iter().zip(&inputs.blobs) {
-        let _ = one_shot(addr, "POST", &publish_path(name), blob);
-    }
-    let window = Duration::from_secs_f64(2.0_f64.min(args.seconds));
+/// open-loop rate in `BENCHMARK.json` is a small share of this.
+fn closed_loop(load: &Load, report: &mut Report) {
+    let (inputs, schedule, addr) = (&load.inputs, &load.schedule, load.addr);
+    let window = Duration::from_secs(2);
     let start = Instant::now();
     let sent: usize = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..CONNECTIONS)
@@ -644,7 +705,6 @@ fn closed_loop(args: &Args, work: &Workdir, pass: &ServePass, report: &mut Repor
             .map(|w| w.join().expect("closed-loop thread"))
             .sum()
     });
-    server.stop();
     report.push(
         "serve.closed_loop_rps",
         sent as f64 / start.elapsed().as_secs_f64(),

@@ -1,25 +1,25 @@
-//! `stream-drift`: one client pushes `DriftStream` chunks in order to
+//! The streaming phase: one client pushes `DriftStream` chunks in order to
 //! `POST /tenants/{t}/stream/{s}` on an in-process server, each push
 //! waiting for its ack (a closed loop). This drives the `online` layer,
 //! its fsync'd event log and the drift-triggered challenger rounds.
 //!
-//! The chunks are a constant of the workload, like the searched data of
-//! the search workloads: every challenger round is a search, and its
+//! The chunks are a constant of the benchmark, like the searched data of
+//! the search phase: every challenger round is a search, and its
 //! cost swings with the data it searches.
 
 use crate::http::Conn;
 use crate::stats::{median, percentile};
 use crate::trace::Tracer;
-use crate::{peak_rss_mb, repeat, Args, Report, Workdir};
+use crate::{Report, Workdir};
 use flaml_server::{
     DatasetPayload, Server, ServerConfig, StreamChunkRequest, StreamOptions, StreamPushResponse,
 };
 use flaml_synth::DriftStream;
 use std::time::Instant;
 
-/// Chunks one pass pushes. Two passes already give over 1000 pushes, so
-/// the p99 lands on round-triggering pushes.
-const CHUNKS: usize = 500;
+/// Chunks one pass pushes. A run makes at least four passes, so over
+/// 1000 pushes: the p99 lands on round-triggering pushes.
+const CHUNKS: usize = 250;
 /// Chunks per stationary segment: the concept shifts this often, and
 /// each shift triggers a challenger round.
 const SEGMENT_CHUNKS: usize = 25;
@@ -74,7 +74,7 @@ fn make_bodies() -> Vec<String> {
 fn one_pass(work: &Workdir, pass: usize, report: &mut Report) -> Option<StreamPass> {
     let t0 = Instant::now();
     let cfg = ServerConfig {
-        root: work.fresh(&format!("server{pass}")),
+        root: work.fresh(&format!("stream{pass}")),
         ..ServerConfig::default()
     };
     let started = Server::new(cfg).and_then(|s| s.start("127.0.0.1:0"));
@@ -145,7 +145,6 @@ fn one_pass(work: &Workdir, pass: usize, report: &mut Report) -> Option<StreamPa
 }
 
 struct EndToEnd {
-    setup_s: f64,
     chunks_per_s: f64,
     p50: f64,
     p99: f64,
@@ -160,7 +159,6 @@ impl EndToEnd {
             .collect();
         let col = |f: fn(&StreamPass) -> f64| median(&passes.iter().map(f).collect::<Vec<_>>());
         EndToEnd {
-            setup_s: col(|p| p.setup_s),
             chunks_per_s: col(|p| p.pushes.len() as f64 / p.wall_s),
             p50: percentile(&lat, 0.5),
             p99: percentile(&lat, 0.99),
@@ -168,9 +166,8 @@ impl EndToEnd {
         }
     }
 
-    fn values(&self) -> [(&'static str, f64, &'static str); 5] {
+    fn values(&self) -> [(&'static str, f64, &'static str); 4] {
         [
-            ("setup_s", self.setup_s, "s"),
             ("stream.chunks_per_s", self.chunks_per_s, "1/s"),
             ("stream.push_p50_ms", self.p50, "ms"),
             ("stream.push_p99_ms", self.p99, "ms"),
@@ -179,12 +176,38 @@ impl EndToEnd {
     }
 }
 
-pub fn run(args: &Args, work: &Workdir, tracer: &mut Tracer) -> Report {
-    let mut report = Report::default();
-    let passes: Vec<StreamPass> = repeat(args.seconds, 2, |i| one_pass(work, i, &mut report))
-        .into_iter()
-        .flatten()
-        .collect();
+/// The streaming phase of one run: the passes so far.
+pub struct Phase<'a> {
+    work: &'a Workdir,
+    started: usize,
+    passes: Vec<StreamPass>,
+    report: Report,
+}
+
+impl<'a> Phase<'a> {
+    pub fn new(work: &'a Workdir) -> Phase<'a> {
+        Phase {
+            work,
+            started: 0,
+            passes: Vec::new(),
+            report: Report::default(),
+        }
+    }
+
+    /// The whole stream, pushed to a fresh server.
+    pub fn pass(&mut self) {
+        let pass = one_pass(self.work, self.started, &mut self.report);
+        self.started += 1;
+        self.passes.extend(pass);
+    }
+
+    /// Checks the passes and reports the phase's metrics.
+    pub fn finish(self, tracer: &mut Tracer) -> Report {
+        finish(&self.passes, self.report, tracer)
+    }
+}
+
+fn finish(passes: &[StreamPass], mut report: Report, tracer: &mut Tracer) -> Report {
     if passes.is_empty() {
         return report;
     }
@@ -199,10 +222,11 @@ pub fn run(args: &Args, work: &Workdir, tracer: &mut Tracer) -> Report {
             ));
         }
     }
-    let e2e = EndToEnd::of(&passes);
+    let e2e = EndToEnd::of(passes);
+    report.setup_s = median(&passes.iter().map(|p| p.setup_s).collect::<Vec<_>>());
     let n: usize = passes.iter().map(|p| p.pushes.len()).sum();
     report.notes.push(format!(
-        "{} passes; {n} pushes (p99 over {n}); {} rounds and {} promotions per pass",
+        "stream: {} passes; {n} pushes (p99 over {n}); {} rounds and {} promotions per pass",
         passes.len(),
         passes[0].rounds,
         passes[0].promotions
@@ -211,29 +235,21 @@ pub fn run(args: &Args, work: &Workdir, tracer: &mut Tracer) -> Report {
         for (name, value, unit) in e2e.values() {
             report.push(name, value, unit);
         }
-        report.push("peak_rss_mb", peak_rss_mb(), "MiB");
         return report;
     }
 
-    let Some(traced) = one_pass(work, passes.len(), &mut report) else {
-        return report;
-    };
-    if !same(&passes[0], &traced) {
-        report.fail("traced stream pass did different work");
+    // Spans from the timestamps every pass takes anyway: tracing does no
+    // work during the load, so it has no overhead to report here.
+    for (p, pass) in passes.iter().enumerate() {
+        for (i, push) in pass.pushes.iter().enumerate() {
+            let name = if push.round() {
+                "stream.push.round"
+            } else {
+                "stream.push"
+            };
+            tracer.record((p * CHUNKS + i) as u64, None, name, push.start, push.end);
+        }
     }
-    for (i, p) in traced.pushes.iter().enumerate() {
-        let name = if p.round() {
-            "stream.push.round"
-        } else {
-            "stream.push"
-        };
-        tracer.record(i as u64, None, name, p.start, p.end);
-    }
-    let traced_e2e = EndToEnd::of(std::slice::from_ref(&traced));
-    for ((name, base, unit), (_, with, _)) in e2e.values().into_iter().zip(traced_e2e.values()) {
-        report.push(format!("trace_overhead.{name}"), with - base, unit);
-    }
-
     let all: Vec<&Push> = passes.iter().flat_map(|p| &p.pushes).collect();
     let split = |round: bool| -> Vec<f64> {
         all.iter()

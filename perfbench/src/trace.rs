@@ -4,7 +4,8 @@
 //! the benchmark's own code or in a public `EventSink` callback.
 //!
 //! Spans of one request or one trial share a `trace` id; each carries
-//! the id of the span that caused it (`parent`).
+//! the id of the span that caused it (`parent`). The top byte of a trace
+//! id names the phase that recorded it, so phases never share a trace.
 
 use std::io::Write;
 use std::path::Path;
@@ -22,6 +23,8 @@ pub struct Span {
 pub struct Tracer {
     on: bool,
     epoch: Instant,
+    /// The current phase, already shifted into the top byte.
+    phase: u64,
     spans: Vec<Span>,
 }
 
@@ -30,12 +33,18 @@ impl Tracer {
         Tracer {
             on,
             epoch: Instant::now(),
+            phase: 0,
             spans: Vec::new(),
         }
     }
 
     pub fn on(&self) -> bool {
         self.on
+    }
+
+    /// Starts phase `n`: the trace ids recorded from now on carry it.
+    pub fn phase(&mut self, n: u8) {
+        self.phase = u64::from(n) << 56;
     }
 
     /// Records a finished span and returns its id (0 when tracing is off).
@@ -53,7 +62,7 @@ impl Tracer {
         let id = self.spans.len() as u64 + 1;
         self.spans.push(Span {
             id,
-            trace,
+            trace: self.phase | trace,
             parent,
             name,
             start,
