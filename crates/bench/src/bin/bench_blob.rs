@@ -35,6 +35,7 @@ use flaml_bench::roster::{fastest, fit_roster, pred_bits, tile_dataset};
 use flaml_bench::Args;
 use flaml_core::{encode_blob, save_blob, BlobModel, BlobOptions, CompiledModel};
 use flaml_data::Dataset;
+use flaml_store::DiskStorage;
 use serde::Serialize;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -129,7 +130,7 @@ fn smaps_for(path: &str) -> (u64, u64) {
 /// mapping's residency as one JSON line, and with `--hold` keep the
 /// mapping alive until stdin closes (so a second prober overlaps it).
 fn run_map_probe(path: &str, hold: bool) -> ! {
-    let blob = BlobModel::open(path).expect("map-probe: open blob");
+    let blob = BlobModel::open(&DiskStorage, path).expect("map-probe: open blob");
     // Materializing the slabs reads every data page into the page
     // cache and this process's resident set.
     std::hint::black_box(blob.to_compiled());
@@ -273,12 +274,16 @@ fn main() {
                 };
                 let json_path = scratch.join(format!("{}_{learner}.artifact.json", data.name()));
                 let blob_path = scratch.join(format!("{}_{learner}.artifact.blob", data.name()));
-                compiled.save(&json_path).expect("save json artifact");
-                save_blob(&compiled, &blob_path, BlobOptions::tuned()).expect("save blob");
+                compiled
+                    .save(&DiskStorage, &json_path)
+                    .expect("save json artifact");
+                save_blob(&DiskStorage, &blob_path, &compiled, BlobOptions::tuned())
+                    .expect("save blob");
 
                 // Reference bits come from the JSON round trip — the
                 // portable format is the ground truth the blob must hit.
-                let reference = CompiledModel::load(&json_path).expect("load json artifact");
+                let reference =
+                    CompiledModel::load(&DiskStorage, &json_path).expect("load json artifact");
                 let want = pred_bits(&reference.predict(&probe));
                 let mut bits_identical = true;
                 for opts in option_grid() {
@@ -293,7 +298,7 @@ fn main() {
                     }
                 }
 
-                let tuned = BlobModel::open(&blob_path).expect("open tuned blob");
+                let tuned = BlobModel::open(&DiskStorage, &blob_path).expect("open tuned blob");
                 let (hot_first, quantized) = (tuned.hot_first(), tuned.quantized());
                 let blob_bytes = tuned.n_bytes();
                 drop(tuned);
@@ -304,11 +309,11 @@ fn main() {
                 }
 
                 let secs_json = fastest(cycles, || {
-                    let m = CompiledModel::load(&json_path).expect("timed json load");
+                    let m = CompiledModel::load(&DiskStorage, &json_path).expect("timed json load");
                     std::hint::black_box(m.predict(&probe));
                 });
                 let secs_blob = fastest(cycles, || {
-                    let m = BlobModel::open(&blob_path).expect("timed blob open");
+                    let m = BlobModel::open(&DiskStorage, &blob_path).expect("timed blob open");
                     std::hint::black_box(m.predict(&probe));
                 });
                 let row = BlobRow {

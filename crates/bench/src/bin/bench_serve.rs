@@ -44,6 +44,7 @@ use flaml_core::{
 };
 use flaml_data::Dataset;
 use flaml_learners::{FittedModel, Linear, LinearParams};
+use flaml_store::DiskStorage;
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -185,8 +186,8 @@ fn main() {
                     std::process::id(),
                     data.name()
                 ));
-                let artifact_round_trip = match compiled.save(&path).and_then(|_| {
-                    let loaded = CompiledModel::load(&path)?;
+                let artifact_round_trip = match compiled.save(&DiskStorage, &path).and_then(|_| {
+                    let loaded = CompiledModel::load(&DiskStorage, &path)?;
                     Ok(loaded == compiled
                         && pred_bits(&loaded.predict(&request)) == pred_bits(&interpreted))
                 }) {
@@ -200,10 +201,13 @@ fn main() {
                 if !exported {
                     if let Some(out) = &exec.artifact {
                         let saved = match exec.artifact_format {
-                            ArtifactFormat::Json => compiled.save(out),
-                            ArtifactFormat::Blob => {
-                                flaml_core::save_blob(&compiled, out, BlobOptions::tuned())
-                            }
+                            ArtifactFormat::Json => compiled.save(&DiskStorage, out),
+                            ArtifactFormat::Blob => flaml_core::save_blob(
+                                &DiskStorage,
+                                out,
+                                &compiled,
+                                BlobOptions::tuned(),
+                            ),
                         };
                         match saved {
                             Ok(fp) => {

@@ -34,6 +34,7 @@
 use flaml_bench::Args;
 use flaml_core::Journal;
 use flaml_server::{DatasetPayload, FitAccepted, FitRequest, PredictRequest, SearchStatus};
+use flaml_store::DiskStorage;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
@@ -422,12 +423,12 @@ fn run_verify(args: &Args, addr: &str, root: &std::path::Path, out_path: &str) {
                 .journal(&ref_path)
                 .fit(&request.to_dataset().expect("sidecar dataset"))
                 .map(|_| {
-                    Journal::read(&ref_path)
+                    Journal::read(&DiskStorage, &ref_path)
                         .expect("reference journal")
                         .canonical_bytes()
                 });
             let _ = std::fs::remove_file(&ref_path);
-            let served = Journal::read(entry.path().join(format!("{id}.jsonl")))
+            let served = Journal::read(&DiskStorage, entry.path().join(format!("{id}.jsonl")))
                 .expect("server journal")
                 .canonical_bytes();
             match reference {

@@ -26,6 +26,7 @@ use flaml_core::{
 };
 use flaml_data::Dataset;
 use flaml_metrics::Metric;
+use flaml_store::DiskStorage;
 use flaml_synth::{binary_suite, multiclass_suite, regression_suite, SuiteScale};
 
 fn main() {
@@ -40,7 +41,7 @@ fn main() {
         }
     };
     let args = Args::from_tokens(argv.iter().skip(2).cloned());
-    let journal = match Journal::read(path) {
+    let journal = match Journal::read(&DiskStorage, path) {
         Ok(j) => j,
         Err(e) => {
             eprintln!("[journal-tool] cannot read {path}: {e}");
@@ -161,7 +162,7 @@ fn describe_artifacts(journal_path: &str) {
             continue;
         };
         let described = match format {
-            ArtifactFormat::Blob => BlobModel::open(&sibling).map(|b| {
+            ArtifactFormat::Blob => BlobModel::open(&DiskStorage, &sibling).map(|b| {
                 format!(
                     "fingerprint {:#018x}, {} node order, {} thresholds",
                     b.fingerprint(),
@@ -169,7 +170,7 @@ fn describe_artifacts(journal_path: &str) {
                     if b.quantized() { "f32-exact" } else { "f64" },
                 )
             }),
-            ArtifactFormat::Json => CompiledModel::load(&sibling).map(|m| {
+            ArtifactFormat::Json => CompiledModel::load(&DiskStorage, &sibling).map(|m| {
                 let payload = serde_json::to_string(&m).expect("serialize artifact");
                 format!("fingerprint {:#018x}", flaml_serve::fingerprint(&payload))
             }),

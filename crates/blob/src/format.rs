@@ -35,6 +35,7 @@
 //! writer is a handful of `extend_from_slice` calls and a reader is
 //! offset arithmetic.
 
+use flaml_data::{fnv1a, FNV_OFFSET};
 use flaml_serve::{ArtifactError, CompiledLinear, CompiledModel};
 use flaml_store::{atomic_write_file, Storage};
 use std::path::Path;
@@ -148,15 +149,7 @@ pub(crate) fn section_tag(model: u32, kind: u32) -> u32 {
 /// FNV-1a over raw bytes — the binary twin of
 /// [`flaml_serve::fingerprint`], which hashes JSON payload text.
 pub fn fingerprint_bytes(bytes: &[u8]) -> u64 {
-    fnv_update(0xcbf2_9ce4_8422_2325, bytes)
-}
-
-fn fnv_update(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
+    fnv1a(FNV_OFFSET, bytes)
 }
 
 /// The integrity fingerprint of a whole blob file: FNV-1a over every
@@ -166,9 +159,9 @@ fn fnv_update(mut h: u64, bytes: &[u8]) -> u64 {
 /// probes don't catch is caught here; there is no unauthenticated byte.
 pub fn blob_fingerprint(bytes: &[u8]) -> u64 {
     debug_assert!(bytes.len() >= HEADER_LEN);
-    let mut h = fnv_update(0xcbf2_9ce4_8422_2325, &bytes[..40]);
-    h = fnv_update(h, &[0u8; 8]);
-    fnv_update(h, &bytes[48..])
+    let mut h = fnv1a(FNV_OFFSET, &bytes[..40]);
+    h = fnv1a(h, &[0u8; 8]);
+    fnv1a(h, &bytes[48..])
 }
 
 /// Layout choices for [`encode_blob`]. Both default to off; both are
@@ -625,34 +618,22 @@ pub fn encode_blob(model: &CompiledModel, opts: BlobOptions) -> Vec<u8> {
     out
 }
 
-/// Encodes `model` and writes it to `path` on the local disk
+/// Encodes `model` and writes it to `path` through `storage`
 /// (atomically: temp file, fsync, rename, parent-dir fsync), returning
-/// the blob's payload fingerprint.
+/// the blob's payload fingerprint. The write goes through the storage's
+/// fault-injection surface, so chaos sweeps cover blob publication
+/// exactly like every other durable write.
 ///
 /// # Errors
 ///
 /// Returns [`ArtifactError::Storage`] on persistence failures.
 pub fn save_blob(
-    model: &CompiledModel,
-    path: impl AsRef<Path>,
-    opts: BlobOptions,
-) -> Result<u64, ArtifactError> {
-    save_blob_with(flaml_store::disk().as_ref(), path.as_ref(), model, opts)
-}
-
-/// [`save_blob`] against an explicit [`Storage`] — the write goes
-/// through the storage's fault-injection surface, so chaos sweeps cover
-/// blob publication exactly like every other durable write.
-///
-/// # Errors
-///
-/// Returns [`ArtifactError::Storage`] on persistence failures.
-pub fn save_blob_with(
     storage: &dyn Storage,
-    path: &Path,
+    path: impl AsRef<Path>,
     model: &CompiledModel,
     opts: BlobOptions,
 ) -> Result<u64, ArtifactError> {
+    let path = path.as_ref();
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             storage.create_dir_all(parent)?;

@@ -22,9 +22,11 @@
 //!
 //! ```no_run
 //! use flaml_blob::{save_blob, BlobModel, BlobOptions};
+//! use flaml_store::DiskStorage;
 //! # fn demo(compiled: flaml_serve::CompiledModel, request: flaml_data::DatasetView) {
-//! save_blob(&compiled, "model.artifact.blob", BlobOptions::tuned()).unwrap();
-//! let blob = BlobModel::open("model.artifact.blob").unwrap();
+//! let path = "model.artifact.blob";
+//! save_blob(&DiskStorage, path, &compiled, BlobOptions::tuned()).unwrap();
+//! let blob = BlobModel::open(&DiskStorage, path).unwrap();
 //! let pred = blob.predict(&request); // bit-identical to compiled.predict
 //! # let _ = pred;
 //! # }
@@ -37,8 +39,8 @@ mod mapping;
 mod model;
 
 pub use format::{
-    blob_fingerprint, encode_blob, fingerprint_bytes, save_blob, save_blob_with, BlobOptions,
-    BLOB_ALIGN, BLOB_MAGIC, BLOB_VERSION, ENDIAN_MARK, FLAG_HOT_FIRST, FLAG_QUANTIZED,
+    blob_fingerprint, encode_blob, fingerprint_bytes, save_blob, BlobOptions, BLOB_ALIGN,
+    BLOB_MAGIC, BLOB_VERSION, ENDIAN_MARK, FLAG_HOT_FIRST, FLAG_QUANTIZED,
 };
 pub use model::BlobModel;
 

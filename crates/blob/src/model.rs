@@ -118,21 +118,8 @@ pub struct BlobModel {
 }
 
 impl BlobModel {
-    /// Maps and validates the blob at `path` on the local filesystem.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Io`] when the file cannot be read,
-    /// [`ArtifactError::BadMagic`] / [`ArtifactError::Version`] for
-    /// foreign or future files, [`ArtifactError::FingerprintMismatch`]
-    /// for payload corruption, [`ArtifactError::Layout`] for truncation
-    /// and every structural violation.
-    pub fn open(path: impl AsRef<Path>) -> Result<BlobModel, ArtifactError> {
-        BlobModel::parse(Mapping::from_file(path.as_ref())?)
-    }
-
-    /// [`BlobModel::open`] against an explicit [`Storage`]. Storages
-    /// backed by real files expose a mappable path
+    /// Maps and validates the blob at `path` through `storage`.
+    /// Storages backed by real files expose a mappable path
     /// ([`Storage::mmap_source`]) and get the zero-copy mapping;
     /// fault-injecting or virtual storages decline, and the blob is
     /// read through [`Storage::read`] into an aligned buffer — slower,
@@ -140,9 +127,14 @@ impl BlobModel {
     ///
     /// # Errors
     ///
-    /// Same as [`BlobModel::open`], with read failures surfacing as
-    /// [`ArtifactError::Storage`].
-    pub fn open_with(storage: &dyn Storage, path: &Path) -> Result<BlobModel, ArtifactError> {
+    /// [`ArtifactError::Io`] / [`ArtifactError::Storage`] when the file
+    /// cannot be read, [`ArtifactError::BadMagic`] /
+    /// [`ArtifactError::Version`] for foreign or future files,
+    /// [`ArtifactError::FingerprintMismatch`] for payload corruption,
+    /// [`ArtifactError::Layout`] for truncation and every structural
+    /// violation.
+    pub fn open(storage: &dyn Storage, path: impl AsRef<Path>) -> Result<BlobModel, ArtifactError> {
+        let path = path.as_ref();
         match storage.mmap_source(path) {
             Some(real) => BlobModel::parse(Mapping::from_file(&real)?),
             None => {

@@ -11,6 +11,7 @@ use flaml_learners::{
 };
 use flaml_metrics::Pred;
 use flaml_serve::CompiledModel;
+use flaml_store::DiskStorage;
 
 fn pred_bits(p: &Pred) -> Vec<u64> {
     match p {
@@ -141,8 +142,8 @@ fn blob_predictions_are_bit_identical_across_every_learner_and_layout() {
 
                 // File backing: save atomically, reopen via mmap.
                 let path = dir.join(format!("{}_{learner}_{combo}.artifact.blob", data.name()));
-                let fp = save_blob(&compiled, &path, opts).expect("save blob");
-                let mapped = BlobModel::open(&path).expect("open blob");
+                let fp = save_blob(&DiskStorage, &path, &compiled, opts).expect("save blob");
+                let mapped = BlobModel::open(&DiskStorage, &path).expect("open blob");
                 assert_eq!(fp, mapped.fingerprint(), "{ctx}: fingerprint");
                 #[cfg(all(unix, target_pointer_width = "64"))]
                 assert!(mapped.is_mmap(), "{ctx}: expected a real mapping");

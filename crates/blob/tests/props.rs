@@ -10,6 +10,7 @@ use flaml_blob::{blob_fingerprint, encode_blob, BlobModel, BlobOptions};
 use flaml_data::{Dataset, Task};
 use flaml_learners::{Forest, ForestParams, Gbdt, GbdtParams, Linear, LinearParams};
 use flaml_serve::{ArtifactError, CompiledForest, CompiledGbdt, CompiledModel};
+use flaml_store::DiskStorage;
 use proptest::prelude::*;
 
 fn arb_dataset() -> impl Strategy<Value = Dataset> {
@@ -368,7 +369,7 @@ fn truncated_file_on_disk_is_rejected_through_the_mmap_path() {
     let path = dir.join("torn.artifact.blob");
     std::fs::write(&path, &bytes[..bytes.len() - 16]).unwrap();
     assert!(matches!(
-        BlobModel::open(&path).unwrap_err(),
+        BlobModel::open(&DiskStorage, &path).unwrap_err(),
         ArtifactError::Layout(_)
     ));
     std::fs::remove_dir_all(&dir).ok();

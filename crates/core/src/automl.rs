@@ -392,7 +392,7 @@ pub fn retrain_from_log(
     path: impl AsRef<std::path::Path>,
     data: &Dataset,
 ) -> Result<Retrained, AutoMlError> {
-    let journal = flaml_journal::Journal::read(path)?;
+    let journal = flaml_journal::Journal::read(&flaml_store::DiskStorage, path)?;
     let best = journal.best_trial().ok_or(AutoMlError::NoViableModel)?;
     let kind = LearnerKind::parse(&best.learner)
         .ok_or_else(|| AutoMlError::UnknownLearner(best.learner.clone()))?;
@@ -742,6 +742,12 @@ impl AutoMl {
     pub fn storage(mut self, storage: std::sync::Arc<dyn flaml_store::Storage>) -> AutoMl {
         self.storage = Some(storage);
         self
+    }
+
+    /// The storage journal persistence goes through: the one set with
+    /// [`AutoMl::storage`], or the real filesystem.
+    pub(crate) fn journal_storage(&self) -> std::sync::Arc<dyn flaml_store::Storage> {
+        self.storage.clone().unwrap_or_else(flaml_store::disk)
     }
 
     /// Seeds the search from prior results (warm start): for each

@@ -370,7 +370,7 @@ pub(crate) fn run(data: &Dataset, settings: &AutoMl) -> Result<AutoMlResult, Aut
     // reopen it for appending (truncating any torn tail first). The
     // writer becomes an extra event sink fanned together with the user's.
     let mut replay: VecDeque<TrialLine> = VecDeque::new();
-    let storage = settings.storage.clone().unwrap_or_else(flaml_store::disk);
+    let storage = settings.journal_storage();
     let mut shared_journal: Option<SharedJournalWriter> = None;
     let journal_sink: Option<EventSink> = if let Some(path) = &settings.journal_path {
         let header = JournalHeader {
@@ -398,15 +398,14 @@ pub(crate) fn run(data: &Dataset, settings: &AutoMl) -> Result<AutoMlResult, Aut
             },
         };
         let writer = if settings.resume {
-            let journal = Journal::read_with(storage.as_ref(), path)?;
+            let journal = Journal::read(storage.as_ref(), path)?;
             verify_resume_header(&journal.header, &header)?;
-            let writer =
-                JournalWriter::resume_with(storage.as_ref(), path, journal.committed_bytes)
-                    .map_err(AutoMlError::Durability)?;
+            let writer = JournalWriter::resume(storage.as_ref(), path, journal.committed_bytes)
+                .map_err(AutoMlError::Durability)?;
             replay = journal.trials.into();
             writer
         } else {
-            JournalWriter::create_with(storage.as_ref(), path, &header)
+            JournalWriter::create(storage.as_ref(), path, &header)
                 .map_err(AutoMlError::Durability)?
         };
         // Keep a shared handle so a mid-run persistence failure (ENOSPC,

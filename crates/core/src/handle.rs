@@ -84,7 +84,7 @@ impl SearchHandle {
         journal: impl Into<PathBuf>,
     ) -> Result<SearchHandle, AutoMlError> {
         let journal = journal.into();
-        let on_disk = Journal::read(&journal)?;
+        let on_disk = Journal::read(settings.journal_storage().as_ref(), &journal)?;
         Ok(SearchHandle {
             settings,
             journal,
@@ -172,7 +172,8 @@ impl SearchHandle {
                 // No finite loss in the journal yet. If this slice was
                 // cut short by its own cap the search is merely unlucky
                 // so far — pause and let a later slice keep looking.
-                let on_disk = Journal::read(&self.journal)?;
+                let on_disk =
+                    Journal::read(self.settings.journal_storage().as_ref(), &self.journal)?;
                 self.committed = on_disk.trials.len();
                 self.spent = on_disk.spent_budget();
                 let out_of_road = target == Some(self.committed)

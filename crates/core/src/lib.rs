@@ -100,6 +100,4 @@ pub use flaml_serve::{
 
 // Re-export the binary artifact layer alongside: same "fit, then
 // serve" story, mmap-backed.
-pub use flaml_blob::{
-    encode_blob, save_blob, save_blob_with, ArtifactFormat, BlobModel, BlobOptions, BLOB_MAGIC,
-};
+pub use flaml_blob::{encode_blob, save_blob, ArtifactFormat, BlobModel, BlobOptions, BLOB_MAGIC};

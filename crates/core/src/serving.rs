@@ -7,6 +7,7 @@ use std::path::Path;
 use flaml_blob::{save_blob, ArtifactFormat, BlobOptions};
 use flaml_data::Dataset;
 use flaml_serve::CompiledModel;
+use flaml_store::DiskStorage;
 
 use crate::automl::{retrain_from_log, AutoMlError, AutoMlResult, Retrained};
 
@@ -20,8 +21,8 @@ fn export_compiled(
     format: ArtifactFormat,
 ) -> Result<u64, AutoMlError> {
     Ok(match format {
-        ArtifactFormat::Json => model.save(path)?,
-        ArtifactFormat::Blob => save_blob(model, path, BlobOptions::tuned())?,
+        ArtifactFormat::Json => model.save(&DiskStorage, path)?,
+        ArtifactFormat::Blob => save_blob(&DiskStorage, path, model, BlobOptions::tuned())?,
     })
 }
 
@@ -172,7 +173,7 @@ mod tests {
 
         let path = std::env::temp_dir().join("flaml-core-serving-test/automl.artifact.json");
         let fp = result.export_artifact(&path).unwrap();
-        let loaded = CompiledModel::load(&path).unwrap();
+        let loaded = CompiledModel::load(&DiskStorage, &path).unwrap();
         assert_eq!(loaded, compiled);
         assert_eq!(
             flaml_serve::fingerprint(&serde_json::to_string(&loaded).unwrap()),
@@ -192,7 +193,7 @@ mod tests {
         let fp = result
             .export_artifact_as(&path, flaml_blob::ArtifactFormat::Blob)
             .unwrap();
-        let blob = flaml_blob::BlobModel::open(&path).unwrap();
+        let blob = flaml_blob::BlobModel::open(&DiskStorage, &path).unwrap();
         assert_eq!(blob.fingerprint(), fp);
         assert_eq!(
             bits(&blob.predict(&data)),
@@ -217,7 +218,7 @@ mod tests {
         let out = dir.join("from-log.artifact.json");
         let retrained = export_artifact_from_log(&log, &data, &out).unwrap();
         assert_eq!(retrained.learner, result.best_learner);
-        let loaded = CompiledModel::load(&out).unwrap();
+        let loaded = CompiledModel::load(&DiskStorage, &out).unwrap();
         assert_eq!(
             bits(&loaded.predict(&data)),
             bits(&result.model.predict(&data)),

@@ -4,8 +4,8 @@
 //! execution, and fold-level parallelism.
 
 use flaml_core::{
-    default_virtual_cost, AutoMl, LearnerKind, LearnerSelection, ResampleChoice, TimeSource,
-    TrialRecord,
+    default_virtual_cost, AutoMl, DiskStorage, LearnerKind, LearnerSelection, ResampleChoice,
+    TimeSource, TrialRecord,
 };
 use flaml_data::{Dataset, Task};
 use rand::rngs::StdRng;
@@ -141,7 +141,7 @@ fn kill_and_resume_reproduces_the_uninterrupted_trace() {
             // The resumed process kept journaling: the file must now
             // describe the full run and support a second resume that
             // replays everything and runs nothing.
-            let journal = flaml_core::Journal::read(&path).unwrap();
+            let journal = flaml_core::Journal::read(&DiskStorage, &path).unwrap();
             assert_eq!(journal.trials.len(), total, "workers={workers} k={k}");
             let replayed_only = base(workers).resume_from(&path).fit(&data).unwrap();
             assert_eq!(trace(&full.trials), trace(&replayed_only.trials));
@@ -252,7 +252,7 @@ fn kill_and_resume_with_tree_cache_variants_matches() {
         // trials, so its header records a different `max_trials` — the
         // trial records themselves are what must agree.
         let canonical_trials = |p: &std::path::Path| {
-            let journal = flaml_core::Journal::read(p).unwrap();
+            let journal = flaml_core::Journal::read(&DiskStorage, p).unwrap();
             let bytes = journal.canonical_bytes();
             bytes
                 .split_once('\n')

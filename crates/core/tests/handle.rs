@@ -6,11 +6,13 @@
 //! continue it to the same bytes.
 
 use flaml_core::{
-    default_virtual_cost, AutoMl, Journal, LearnerKind, SearchHandle, SliceOutcome, TimeSource,
+    default_virtual_cost, AutoMl, AutoMlError, ChaosStorage, DiskStorage, IoFaultPlan, Journal,
+    LearnerKind, SearchHandle, SliceOutcome, Storage, TimeSource,
 };
 use flaml_data::{Dataset, Task};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 fn binary_dataset(n: usize, seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -66,8 +68,12 @@ fn sliced_search_journal_is_byte_identical_to_single_shot() {
     assert_eq!(result.best_learner, reference.best_learner);
     assert_eq!(result.best_error.to_bits(), reference.best_error.to_bits());
 
-    let reference_bytes = Journal::read(&reference_path).unwrap().canonical_bytes();
-    let sliced_bytes = Journal::read(&sliced_path).unwrap().canonical_bytes();
+    let reference_bytes = Journal::read(&DiskStorage, &reference_path)
+        .unwrap()
+        .canonical_bytes();
+    let sliced_bytes = Journal::read(&DiskStorage, &sliced_path)
+        .unwrap()
+        .canonical_bytes();
     assert_eq!(
         reference_bytes, sliced_bytes,
         "sliced journal must be byte-identical to the single-shot journal"
@@ -90,7 +96,7 @@ fn attach_continues_a_crashed_search_to_identical_bytes() {
         first.run_slice(&data, 5).unwrap(),
         SliceOutcome::Paused { committed: 5, .. }
     ));
-    let mid = Journal::read(&crashed_path).unwrap();
+    let mid = Journal::read(&DiskStorage, &crashed_path).unwrap();
     assert_eq!(mid.trials.len(), 5);
     drop(first);
 
@@ -102,12 +108,38 @@ fn attach_continues_a_crashed_search_to_identical_bytes() {
     assert_eq!(result.trials.len(), 18);
 
     assert_eq!(
-        Journal::read(&reference_path).unwrap().canonical_bytes(),
-        Journal::read(&crashed_path).unwrap().canonical_bytes(),
+        Journal::read(&DiskStorage, &reference_path)
+            .unwrap()
+            .canonical_bytes(),
+        Journal::read(&DiskStorage, &crashed_path)
+            .unwrap()
+            .canonical_bytes(),
         "resumed journal must be byte-identical to an uninterrupted run"
     );
     let _ = std::fs::remove_file(&reference_path);
     let _ = std::fs::remove_file(&crashed_path);
+}
+
+#[test]
+fn attach_reads_the_journal_through_the_configured_storage() {
+    let data = binary_dataset(300, 5);
+    let path = scratch("storage");
+    base().max_trials(4).journal(&path).fit(&data).unwrap();
+
+    // A crashed storage refuses every read: attaching through it must
+    // fail with a typed error, not read the journal from disk instead.
+    let chaos = Arc::new(ChaosStorage::new(
+        flaml_core::disk(),
+        IoFaultPlan::new(0).crash_at(0),
+    ));
+    let _ = chaos.create_dir_all(&std::env::temp_dir());
+    assert!(chaos.crashed());
+    let err = SearchHandle::attach(base().storage(chaos), &path).unwrap_err();
+    assert!(matches!(err, AutoMlError::Journal(_)), "{err}");
+
+    let handle = SearchHandle::attach(base(), &path).unwrap();
+    assert_eq!(handle.committed(), 4);
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

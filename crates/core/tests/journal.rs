@@ -4,8 +4,8 @@
 //! search from a prior run's best configurations.
 
 use flaml_core::{
-    default_virtual_cost, retrain_from_log, AutoMl, Journal, LearnerKind, TimeSource, TrialMode,
-    TrialRecord, TrialStatus,
+    default_virtual_cost, retrain_from_log, AutoMl, DiskStorage, Journal, LearnerKind, TimeSource,
+    TrialMode, TrialRecord, TrialStatus,
 };
 use flaml_data::{Dataset, Task};
 use rand::rngs::StdRng;
@@ -171,7 +171,7 @@ fn warm_start_reaches_prior_best_in_fewer_trials() {
         "workload must not be solved at iter 1 for the comparison to mean anything"
     );
 
-    let journal = Journal::read(&path).unwrap();
+    let journal = Journal::read(&DiskStorage, &path).unwrap();
     let seeds = journal.best_configs();
     assert!(!seeds.is_empty());
     let warm = base()

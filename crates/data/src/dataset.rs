@@ -5,6 +5,20 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
+/// The FNV-1a offset basis: the hash of no bytes. Every FNV-1a hash in
+/// the workspace (dataset, artifact and blob fingerprints) starts here
+/// and folds its bytes in with [`fnv1a`].
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a hash state `h`.
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
 /// The kind of a feature column.
 ///
 /// Categorical columns store category indices as `f64` values; learners may
@@ -387,36 +401,27 @@ impl Dataset {
     /// check a trial journal uses to refuse resuming against different
     /// data. The name is deliberately excluded (renames are harmless).
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn eat(mut h: u64, bytes: &[u8]) -> u64 {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-            h
-        }
         let mut h = FNV_OFFSET;
         let task_tag: u64 = match self.core.task {
             Task::Binary => 1,
             Task::MultiClass(k) => 2 | ((k as u64) << 8),
             Task::Regression => 3,
         };
-        h = eat(h, &task_tag.to_le_bytes());
-        h = eat(h, &(self.n_rows() as u64).to_le_bytes());
-        h = eat(h, &(self.n_features() as u64).to_le_bytes());
+        h = fnv1a(h, &task_tag.to_le_bytes());
+        h = fnv1a(h, &(self.n_rows() as u64).to_le_bytes());
+        h = fnv1a(h, &(self.n_features() as u64).to_le_bytes());
         for (col, kind) in self.core.columns.iter().zip(&self.core.kinds) {
             let kind_tag: u64 = match kind {
                 FeatureKind::Numeric => 0,
                 FeatureKind::Categorical { cardinality } => 1 | ((*cardinality as u64) << 8),
             };
-            h = eat(h, &kind_tag.to_le_bytes());
+            h = fnv1a(h, &kind_tag.to_le_bytes());
             for &v in col {
-                h = eat(h, &v.to_bits().to_le_bytes());
+                h = fnv1a(h, &v.to_bits().to_le_bytes());
             }
         }
         for &y in &self.core.target {
-            h = eat(h, &y.to_bits().to_le_bytes());
+            h = fnv1a(h, &y.to_bits().to_le_bytes());
         }
         h
     }

@@ -12,7 +12,7 @@
 
 use crate::reader::Journal;
 use crate::record::JournalHeader;
-use std::io;
+use flaml_store::{Storage, StorageError};
 use std::path::{Path, PathBuf};
 
 /// One journal found under a discovery root.
@@ -34,30 +34,21 @@ pub struct DiscoveredJournal {
     pub committed_bytes: u64,
 }
 
-/// Scans `root` (one directory level deep) for resumable journals.
-/// Returns them sorted by `(tenant, run)` so recovery order is
-/// deterministic. A missing root is an empty scan, not an error.
-///
-/// # Errors
-///
-/// Returns an I/O error only if listing a directory fails; individual
-/// files that cannot be read or parsed as journals are skipped.
-pub fn discover(root: impl AsRef<Path>) -> io::Result<Vec<DiscoveredJournal>> {
-    discover_with(flaml_store::disk().as_ref(), root.as_ref()).map_err(io::Error::from)
-}
-
-/// [`discover`] against an explicit [`flaml_store::Storage`] — the
-/// fault-injection entry point.
+/// Scans `root` (one directory level deep) through `storage` for
+/// resumable journals. Returns them sorted by `(tenant, run)` so
+/// recovery order is deterministic. A missing root is an empty scan,
+/// not an error.
 ///
 /// # Errors
 ///
 /// Returns a typed storage failure only if listing a directory fails;
 /// individual files that cannot be read or parsed as journals are
 /// skipped.
-pub fn discover_with(
-    storage: &dyn flaml_store::Storage,
-    root: &Path,
-) -> Result<Vec<DiscoveredJournal>, flaml_store::StorageError> {
+pub fn discover(
+    storage: &dyn Storage,
+    root: impl AsRef<Path>,
+) -> Result<Vec<DiscoveredJournal>, StorageError> {
+    let root = root.as_ref();
     let mut found = Vec::new();
     for path in storage.scan(root)? {
         if storage.is_dir(&path) {
@@ -77,7 +68,7 @@ pub fn discover_with(
 }
 
 fn probe(
-    storage: &dyn flaml_store::Storage,
+    storage: &dyn Storage,
     path: &Path,
     tenant: Option<&str>,
     found: &mut Vec<DiscoveredJournal>,
@@ -85,7 +76,7 @@ fn probe(
     if storage.is_dir(path) || path.extension().is_none_or(|e| e != "jsonl") {
         return;
     }
-    let Ok(journal) = Journal::read_with(storage, path) else {
+    let Ok(journal) = Journal::read(storage, path) else {
         return; // not a journal (bad header / schema / unreadable)
     };
     let run = path
@@ -107,6 +98,7 @@ mod tests {
     use super::*;
     use crate::record::{DatasetInfo, SCHEMA_VERSION};
     use crate::writer::JournalWriter;
+    use flaml_store::DiskStorage;
 
     fn header(seed: u64) -> JournalHeader {
         JournalHeader {
@@ -135,15 +127,25 @@ mod tests {
     fn discovers_tenant_and_root_journals_sorted() {
         let root = std::env::temp_dir().join("flaml-journal-discover-test");
         std::fs::remove_dir_all(&root).ok();
-        JournalWriter::create(root.join("b-tenant").join("run2.jsonl"), &header(2)).unwrap();
-        JournalWriter::create(root.join("a-tenant").join("run1.jsonl"), &header(1)).unwrap();
-        JournalWriter::create(root.join("loose.jsonl"), &header(3)).unwrap();
+        JournalWriter::create(
+            &DiskStorage,
+            root.join("b-tenant").join("run2.jsonl"),
+            &header(2),
+        )
+        .unwrap();
+        JournalWriter::create(
+            &DiskStorage,
+            root.join("a-tenant").join("run1.jsonl"),
+            &header(1),
+        )
+        .unwrap();
+        JournalWriter::create(&DiskStorage, root.join("loose.jsonl"), &header(3)).unwrap();
         // Distractors: wrong extension, garbage content, empty tenant dir.
         std::fs::write(root.join("a-tenant").join("note.txt"), "hi").unwrap();
         std::fs::write(root.join("b-tenant").join("broken.jsonl"), "not json\n").unwrap();
         std::fs::create_dir_all(root.join("idle-tenant")).unwrap();
 
-        let runs = discover(&root).unwrap();
+        let runs = discover(&DiskStorage, &root).unwrap();
         let summary: Vec<(Option<&str>, &str, u64)> = runs
             .iter()
             .map(|d| (d.tenant.as_deref(), d.run.as_str(), d.header.seed))
@@ -165,6 +167,6 @@ mod tests {
     fn missing_root_is_empty() {
         let root = std::env::temp_dir().join("flaml-journal-discover-missing");
         std::fs::remove_dir_all(&root).ok();
-        assert_eq!(discover(&root).unwrap(), Vec::new());
+        assert_eq!(discover(&DiskStorage, &root).unwrap(), Vec::new());
     }
 }

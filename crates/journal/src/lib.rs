@@ -3,22 +3,27 @@
 //! warm-starting (the Rust counterpart of the Python FLAML's
 //! `log_file_name` / `retrain_from_log` persistence).
 //!
-//! # Format
+//! # The log
 //!
-//! A journal is a JSONL file: the first line is a [`JournalHeader`]
-//! (schema version, run configuration fingerprint, dataset fingerprint),
-//! every following line is one committed [`TrialLine`]. Records are
-//! appended by a [`JournalWriter`] with **fsync-on-commit**: a record is
-//! durable before the search proceeds past the trial it describes, so a
-//! crash can lose at most the record being written when the process died.
+//! Every durable log of the stack is a [`Log`]: a JSONL file whose first
+//! line is a header (carrying its schema version, see [`LogHeader`]) and
+//! whose every later line is one committed record. Records are appended
+//! with **fsync-on-commit**, so a record is durable before its writer
+//! proceeds, and a crash can lose at most the record being written when
+//! the process died. The reader is *torn-tail tolerant*: a record counts
+//! as committed only if it is newline-terminated, valid UTF-8, and
+//! parses; at the first line failing any test the reader stops and
+//! returns the maximal committed prefix, never an error. Every operation
+//! goes through the caller's [`flaml_store::Storage`].
 //!
-//! # Crash safety
+//! # The trial journal
 //!
-//! The reader ([`Journal::read`]) is *torn-tail tolerant*: a record
-//! counts as committed only if it is newline-terminated and parses; at
-//! the first corrupt or truncated line the reader stops and returns the
-//! maximal committed prefix, never an error. A journal interrupted at any
-//! byte therefore loses at most the one trial whose write was torn.
+//! A trial journal is a `Log<JournalHeader, TrialLine>`: the
+//! [`JournalHeader`] holds the schema version, run configuration and
+//! dataset fingerprint, every [`TrialLine`] one committed trial.
+//! [`JournalWriter`] appends them; [`Journal::read`] reads them back with
+//! the queries resume and warm-start need; [`discover`] finds resumable
+//! journals under a root.
 //!
 //! # Consuming trial events
 //!
@@ -31,11 +36,13 @@
 #![warn(missing_docs)]
 
 mod discover;
+mod log;
 mod reader;
 mod record;
 mod writer;
 
-pub use discover::{discover, discover_with, DiscoveredJournal};
+pub use discover::{discover, DiscoveredJournal};
+pub use log::{Log, LogContents, LogError, LogHeader};
 pub use reader::{Journal, JournalError};
 pub use record::{DatasetInfo, JournalHeader, TrialLine, SCHEMA_VERSION};
 pub use writer::{JournalWriter, SharedJournalWriter};

@@ -1,7 +1,9 @@
 //! The read side of the journal: torn-tail-tolerant parsing plus the
 //! queries resume and warm-start need.
 
-use crate::record::{JournalHeader, TrialLine, SCHEMA_VERSION};
+use crate::log::{Log, LogError};
+use crate::record::{JournalHeader, TrialLine};
+use flaml_store::Storage;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
@@ -44,9 +46,16 @@ impl fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-impl From<io::Error> for JournalError {
-    fn from(e: io::Error) -> JournalError {
-        JournalError::Io(e)
+impl From<LogError> for JournalError {
+    fn from(e: LogError) -> JournalError {
+        match e {
+            LogError::Missing => JournalError::BadHeader("empty or truncated first line".into()),
+            LogError::Storage(e) => JournalError::Io(e.into()),
+            LogError::BadHeader(msg) => JournalError::BadHeader(msg),
+            LogError::SchemaVersion { found, supported } => {
+                JournalError::SchemaVersion { found, supported }
+            }
+        }
     }
 }
 
@@ -65,70 +74,25 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Reads a journal, tolerating a torn tail.
+    /// Reads a journal through `storage`, tolerating a torn tail.
     ///
     /// A trial record counts as committed only if its line is
-    /// newline-terminated **and** parses as a [`TrialLine`]. At the first
-    /// line failing either test the reader stops and returns the maximal
-    /// committed prefix — a crash mid-write therefore loses at most the
-    /// record that was being written, never the journal.
+    /// newline-terminated, valid UTF-8, **and** parses as a
+    /// [`TrialLine`]. At the first line failing any test the reader
+    /// stops and returns the maximal committed prefix — a crash
+    /// mid-write therefore loses at most the record that was being
+    /// written, never the journal.
     ///
     /// # Errors
     ///
     /// Only an unreadable file, a missing/corrupt header line, or an
     /// unsupported schema version error out.
-    pub fn read(path: impl AsRef<Path>) -> Result<Journal, JournalError> {
-        Journal::read_with(flaml_store::disk().as_ref(), path.as_ref())
-    }
-
-    /// [`Journal::read`] against an explicit [`flaml_store::Storage`] —
-    /// the fault-injection entry point.
-    ///
-    /// # Errors
-    ///
-    /// As [`Journal::read`]; storage failures surface as
-    /// [`JournalError::Io`].
-    pub fn read_with(
-        storage: &dyn flaml_store::Storage,
-        path: &Path,
-    ) -> Result<Journal, JournalError> {
-        let bytes = storage.read(path).map_err(io::Error::from)?;
-        // Lossy decoding: a torn multi-byte UTF-8 sequence in the tail
-        // must truncate the tail, not fail the read. The replacement
-        // character breaks JSON parsing for the affected line only.
-        let text = String::from_utf8_lossy(&bytes);
-        let mut lines = CommittedLines::new(&text);
-
-        let header_line = lines
-            .next()
-            .ok_or_else(|| JournalError::BadHeader("empty or truncated first line".into()))?;
-        let header: JournalHeader = serde_json::from_str(header_line)
-            .map_err(|e| JournalError::BadHeader(e.to_string()))?;
-        if header.schema_version != SCHEMA_VERSION {
-            return Err(JournalError::SchemaVersion {
-                found: header.schema_version,
-                supported: SCHEMA_VERSION,
-            });
-        }
-        // Committed lines precede any damage, so they are valid UTF-8
-        // and their lossy-decoded lengths equal their on-disk lengths.
-        let mut committed_bytes = header_line.len() as u64 + 1;
-
-        let mut trials = Vec::new();
-        for line in lines {
-            match serde_json::from_str::<TrialLine>(line) {
-                Ok(t) => {
-                    trials.push(t);
-                    committed_bytes += line.len() as u64 + 1;
-                }
-                // First corrupt record: everything after it is suspect.
-                Err(_) => break,
-            }
-        }
+    pub fn read(storage: &dyn Storage, path: impl AsRef<Path>) -> Result<Journal, JournalError> {
+        let log = Log::<JournalHeader, TrialLine>::read(storage, path.as_ref())?;
         Ok(Journal {
-            header,
-            trials,
-            committed_bytes,
+            header: log.header,
+            trials: log.records,
+            committed_bytes: log.committed_bytes,
         })
     }
 
@@ -209,34 +173,12 @@ impl Journal {
     }
 }
 
-/// Iterator over the newline-terminated lines of a journal. A final line
-/// without a trailing `\n` is a torn write and is never yielded.
-struct CommittedLines<'a> {
-    rest: &'a str,
-}
-
-impl<'a> CommittedLines<'a> {
-    fn new(text: &'a str) -> CommittedLines<'a> {
-        CommittedLines { rest: text }
-    }
-}
-
-impl<'a> Iterator for CommittedLines<'a> {
-    type Item = &'a str;
-
-    fn next(&mut self) -> Option<&'a str> {
-        let nl = self.rest.find('\n')?;
-        let line = &self.rest[..nl];
-        self.rest = &self.rest[nl + 1..];
-        Some(line)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::DatasetInfo;
+    use crate::record::{DatasetInfo, SCHEMA_VERSION};
     use crate::writer::JournalWriter;
+    use flaml_store::DiskStorage;
 
     fn header() -> JournalHeader {
         JournalHeader {
@@ -293,7 +235,7 @@ mod tests {
         let path = std::env::temp_dir()
             .join("flaml-journal-reader-test")
             .join(name);
-        let mut w = JournalWriter::create(&path, &header()).unwrap();
+        let mut w = JournalWriter::create(&DiskStorage, &path, &header()).unwrap();
         for t in trials {
             w.append(t);
         }
@@ -306,16 +248,16 @@ mod tests {
         let full = std::fs::read(&path).unwrap();
         // Chop off the trailing newline and some bytes: record 2 is torn.
         std::fs::write(&path, &full[..full.len() - 7]).unwrap();
-        let j = Journal::read(&path).unwrap();
+        let j = Journal::read(&DiskStorage, &path).unwrap();
         assert_eq!(j.trials.len(), 1);
         assert_eq!(j.trials[0], line(1, "rf", 0.5));
 
         // Resuming truncates the torn tail, and appended records land
         // cleanly after the committed prefix.
-        let mut w = JournalWriter::resume(&path, j.committed_bytes).unwrap();
+        let mut w = JournalWriter::resume(&DiskStorage, &path, j.committed_bytes).unwrap();
         w.append(&line(2, "rf", 0.35));
         drop(w);
-        let j = Journal::read(&path).unwrap();
+        let j = Journal::read(&DiskStorage, &path).unwrap();
         assert_eq!(j.trials.len(), 2);
         assert_eq!(j.trials[1].loss, 0.35);
     }
@@ -331,10 +273,11 @@ mod tests {
                 f.write_all(b"{\"iter\": garbage\n")
             })
             .unwrap();
-        let mut w = JournalWriter::append_to(&path).unwrap();
+        let len = std::fs::metadata(&path).unwrap().len();
+        let mut w = JournalWriter::resume(&DiskStorage, &path, len).unwrap();
         w.append(&line(3, "rf", 0.3));
         drop(w);
-        let j = Journal::read(&path).unwrap();
+        let j = Journal::read(&DiskStorage, &path).unwrap();
         assert_eq!(j.trials.len(), 1, "records after corruption are suspect");
     }
 
@@ -345,12 +288,12 @@ mod tests {
         let path = dir.join("empty.jsonl");
         std::fs::write(&path, "").unwrap();
         assert!(matches!(
-            Journal::read(&path),
+            Journal::read(&DiskStorage, &path),
             Err(JournalError::BadHeader(_))
         ));
         std::fs::write(&path, "not json\n").unwrap();
         assert!(matches!(
-            Journal::read(&path),
+            Journal::read(&DiskStorage, &path),
             Err(JournalError::BadHeader(_))
         ));
     }
@@ -367,7 +310,7 @@ mod tests {
         assert_ne!(text, bumped, "header rewrite must hit the version field");
         std::fs::write(&path, bumped).unwrap();
         assert!(matches!(
-            Journal::read(&path),
+            Journal::read(&DiskStorage, &path),
             Err(JournalError::SchemaVersion { found: 999, .. })
         ));
     }
@@ -380,7 +323,7 @@ mod tests {
             line(3, "lr", 0.4),
         ];
         let path = write_journal("best.jsonl", &trials);
-        let j = Journal::read(&path).unwrap();
+        let j = Journal::read(&DiskStorage, &path).unwrap();
         assert_eq!(j.best_trial().unwrap().iter, 2, "earliest of the tie");
     }
 
@@ -393,7 +336,7 @@ mod tests {
             line(4, "lr", 0.6),
         ];
         let path = write_journal("configs.jsonl", &trials);
-        let j = Journal::read(&path).unwrap();
+        let j = Journal::read(&DiskStorage, &path).unwrap();
         let best = j.best_configs();
         assert_eq!(
             best,
@@ -407,7 +350,7 @@ mod tests {
     #[test]
     fn spent_budget_sums_every_attempt() {
         let path = write_journal("spent.jsonl", &[line(1, "rf", 0.5), line(2, "rf", 0.4)]);
-        let j = Journal::read(&path).unwrap();
+        let j = Journal::read(&DiskStorage, &path).unwrap();
         assert!((j.spent_budget() - 1.5).abs() < 1e-12);
     }
 }

@@ -15,6 +15,7 @@
 //! an unknown version is the safe behaviour. Purely additive optional
 //! fields (serde defaults) do not bump the version.
 
+use crate::log::LogHeader;
 use flaml_exec::TrialEvent;
 use serde::{Deserialize, Serialize};
 
@@ -67,6 +68,14 @@ pub struct JournalHeader {
     pub time_source: String,
     /// The dataset the run searched on.
     pub dataset: DatasetInfo,
+}
+
+impl LogHeader for JournalHeader {
+    const SCHEMA_VERSION: u32 = SCHEMA_VERSION;
+
+    fn schema_version(&self) -> u32 {
+        self.schema_version
+    }
 }
 
 /// One committed trial, as journaled (one JSONL line).

@@ -1,31 +1,22 @@
-//! The append side of the journal: fsync-on-commit JSONL writing.
+//! The append side of the trial journal: the [`EventSink`] adapter
+//! over a [`Log`] of trial lines.
 
+use crate::log::Log;
 use crate::record::{JournalHeader, TrialLine};
 use flaml_exec::{EventSink, TrialEvent};
-use flaml_store::{disk, Storage, StorageError, StorageFile};
-use std::io;
-use std::path::{Path, PathBuf};
+use flaml_store::{Storage, StorageError};
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-/// Appends journal records with fsync-on-commit.
+/// Appends journal records with fsync-on-commit (see [`Log`]).
 ///
-/// Every [`JournalWriter::append`] writes one JSONL line and then syncs
-/// the file before returning, so a record the caller has seen committed
-/// survives a process kill or power loss. I/O errors after creation are
-/// reported once via [`JournalWriter::take_error`] and otherwise
-/// swallowed: persistence must never crash a search mid-run. A failed
-/// append additionally truncates the file back to its committed prefix,
-/// so torn bytes from the failure can never glue onto a later record.
-///
-/// All I/O goes through a [`Storage`] handle — [`flaml_store::DiskStorage`]
-/// by default, or a chaos wrapper in fault-injection tests (the `_with`
-/// constructors).
+/// I/O errors after creation are reported once via
+/// [`JournalWriter::take_error`] and otherwise swallowed: persistence
+/// must never crash a search mid-run. Until that error is taken, the
+/// writer appends nothing more.
 #[derive(Debug)]
 pub struct JournalWriter {
-    file: Box<dyn StorageFile>,
-    path: PathBuf,
-    /// Bytes known durably committed (header + fsynced records).
-    committed_len: u64,
+    log: Log<JournalHeader, TrialLine>,
     /// First storage error encountered while appending, if any.
     error: Option<StorageError>,
 }
@@ -36,70 +27,13 @@ impl JournalWriter {
     ///
     /// # Errors
     ///
-    /// Returns any I/O error from creating or syncing the file.
-    pub fn create(path: impl AsRef<Path>, header: &JournalHeader) -> io::Result<JournalWriter> {
-        JournalWriter::create_with(disk().as_ref(), path.as_ref(), header).map_err(io::Error::from)
-    }
-
-    /// [`JournalWriter::create`] against an explicit [`Storage`].
-    ///
-    /// # Errors
-    ///
     /// Returns the typed storage failure from creating or syncing.
-    pub fn create_with(
+    pub fn create(
         storage: &dyn Storage,
-        path: &Path,
+        path: impl AsRef<Path>,
         header: &JournalHeader,
     ) -> Result<JournalWriter, StorageError> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                storage.create_dir_all(dir)?;
-            }
-        }
-        let file = storage.create(path)?;
-        let mut writer = JournalWriter {
-            file,
-            path: path.to_path_buf(),
-            committed_len: 0,
-            error: None,
-        };
-        let json = serde_json::to_string(header).map_err(|e| StorageError::Io {
-            op: "serialize-header",
-            path: path.to_path_buf(),
-            source: io::Error::new(io::ErrorKind::InvalidData, e.to_string()),
-        })?;
-        writer.write_line(&json)?;
-        Ok(writer)
-    }
-
-    /// Opens an existing journal at `path` for appending (the resume
-    /// path: replayed trials are already on disk, continued trials are
-    /// appended after them). The header is not rewritten.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from opening the file.
-    pub fn append_to(path: impl AsRef<Path>) -> io::Result<JournalWriter> {
-        JournalWriter::append_to_with(disk().as_ref(), path.as_ref()).map_err(io::Error::from)
-    }
-
-    /// [`JournalWriter::append_to`] against an explicit [`Storage`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the typed storage failure from opening or sizing the file.
-    pub fn append_to_with(
-        storage: &dyn Storage,
-        path: &Path,
-    ) -> Result<JournalWriter, StorageError> {
-        let committed_len = storage.file_len(path)?;
-        let file = storage.append(path)?;
-        Ok(JournalWriter {
-            file,
-            path: path.to_path_buf(),
-            committed_len,
-            error: None,
-        })
+        Log::create(storage, path.as_ref(), header).map(JournalWriter::new)
     }
 
     /// Reopens a journal for a resumed run: truncates the file to its
@@ -109,72 +43,24 @@ impl JournalWriter {
     ///
     /// # Errors
     ///
-    /// Returns any I/O error from opening, truncating, or syncing.
-    pub fn resume(path: impl AsRef<Path>, committed_bytes: u64) -> io::Result<JournalWriter> {
-        JournalWriter::resume_with(disk().as_ref(), path.as_ref(), committed_bytes)
-            .map_err(io::Error::from)
-    }
-
-    /// [`JournalWriter::resume`] against an explicit [`Storage`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the typed storage failure from opening, truncating, or
-    /// syncing.
-    pub fn resume_with(
+    /// Returns the typed storage failure from truncating or opening.
+    pub fn resume(
         storage: &dyn Storage,
-        path: &Path,
+        path: impl AsRef<Path>,
         committed_bytes: u64,
     ) -> Result<JournalWriter, StorageError> {
-        storage.truncate_file(path, committed_bytes)?;
-        JournalWriter::append_to_with(storage, path)
+        Log::resume(storage, path.as_ref(), committed_bytes).map(JournalWriter::new)
     }
 
-    fn write_line(&mut self, json: &str) -> Result<(), StorageError> {
-        let mut buf = Vec::with_capacity(json.len() + 1);
-        buf.extend_from_slice(json.as_bytes());
-        buf.push(b'\n');
-        let commit = (|| {
-            self.file.write_all(&buf)?;
-            // fsync-on-commit: the record is durable before the search
-            // proceeds past the trial it describes.
-            self.file.sync_data()
-        })();
-        match commit {
-            Ok(()) => {
-                self.committed_len += buf.len() as u64;
-                Ok(())
-            }
-            Err(e) => {
-                // Drop any torn bytes of the failed record so the file
-                // stays exactly its committed prefix; if even that
-                // fails, the reader's torn-tail tolerance still covers
-                // recovery.
-                let _ = self.file.truncate(self.committed_len);
-                Err(e)
-            }
-        }
+    fn new(log: Log<JournalHeader, TrialLine>) -> JournalWriter {
+        JournalWriter { log, error: None }
     }
 
     /// Appends one committed trial record durably. A failed append is
     /// recorded (see [`JournalWriter::take_error`]) but does not panic.
     pub fn append(&mut self, line: &TrialLine) {
-        if self.error.is_some() {
-            return;
-        }
-        let json = match serde_json::to_string(line) {
-            Ok(j) => j,
-            Err(e) => {
-                self.error = Some(StorageError::Io {
-                    op: "serialize-record",
-                    path: self.path.clone(),
-                    source: io::Error::new(io::ErrorKind::InvalidData, e.to_string()),
-                });
-                return;
-            }
-        };
-        if let Err(e) = self.write_line(&json) {
-            self.error = Some(e);
+        if self.error.is_none() {
+            self.error = self.log.append(line).err();
         }
     }
 
@@ -194,14 +80,18 @@ impl JournalWriter {
 
     /// Bytes known durably committed so far.
     pub fn committed_len(&self) -> u64 {
-        self.committed_len
+        self.log.committed_len()
     }
 
     /// Fsyncs any buffered bytes now, without appending a record.
     /// Dropping the writer does the same, so a server shutting down
     /// mid-search never loses the last committed record.
+    ///
+    /// # Errors
+    ///
+    /// The storage failure.
     pub fn sync(&mut self) -> Result<(), StorageError> {
-        self.file.sync_data()
+        self.log.sync()
     }
 
     /// Wraps the writer in a synchronous [`EventSink`]: every committed
@@ -221,14 +111,6 @@ impl JournalWriter {
     /// [`take_error`]: SharedJournalWriter::take_error
     pub fn into_shared(self) -> SharedJournalWriter {
         SharedJournalWriter(Arc::new(Mutex::new(self)))
-    }
-}
-
-impl Drop for JournalWriter {
-    fn drop(&mut self) {
-        // Best-effort durability on shutdown: errors are unreportable
-        // here and every committed append already fsynced itself.
-        let _ = self.sync();
     }
 }
 
@@ -270,6 +152,7 @@ mod tests {
     use super::*;
     use crate::reader::Journal;
     use crate::record::{DatasetInfo, SCHEMA_VERSION};
+    use flaml_store::DiskStorage;
 
     fn header() -> JournalHeader {
         JournalHeader {
@@ -326,17 +209,18 @@ mod tests {
     fn create_append_read_round_trip() {
         let dir = std::env::temp_dir().join("flaml-journal-writer-test");
         let path = dir.join("run.jsonl");
-        let mut w = JournalWriter::create(&path, &header()).unwrap();
+        let mut w = JournalWriter::create(&DiskStorage, &path, &header()).unwrap();
         w.append(&line(1));
         w.append(&line(2));
         assert!(w.take_error().is_none());
         drop(w);
 
-        let mut w = JournalWriter::append_to(&path).unwrap();
+        let len = std::fs::metadata(&path).unwrap().len();
+        let mut w = JournalWriter::resume(&DiskStorage, &path, len).unwrap();
         w.append(&line(3));
         drop(w);
 
-        let j = Journal::read(&path).unwrap();
+        let j = Journal::read(&DiskStorage, &path).unwrap();
         assert_eq!(j.header, header());
         assert_eq!(j.trials.len(), 3);
         assert_eq!(j.trials[2], line(3));
@@ -348,7 +232,9 @@ mod tests {
         use flaml_exec::{TrialEvent, TrialEventKind, TrialMeta};
         let dir = std::env::temp_dir().join("flaml-journal-sink-test");
         let path = dir.join("run.jsonl");
-        let sink = JournalWriter::create(&path, &header()).unwrap().into_sink();
+        let sink = JournalWriter::create(&DiskStorage, &path, &header())
+            .unwrap()
+            .into_sink();
 
         sink.emit(TrialEvent::new(TrialEventKind::Started));
         let mut ev = TrialEvent::new(TrialEventKind::Finished);
@@ -372,7 +258,7 @@ mod tests {
         sink.emit(discarded);
         drop(sink);
 
-        let j = Journal::read(&path).unwrap();
+        let j = Journal::read(&DiskStorage, &path).unwrap();
         assert_eq!(j.trials.len(), 1);
         assert_eq!(j.trials[0].learner, "lr");
         assert_eq!(j.trials[0].loss, 0.25);
@@ -381,7 +267,7 @@ mod tests {
 
     #[test]
     fn failed_append_truncates_to_committed_prefix_and_latches() {
-        use flaml_store::{ChaosStorage, DiskStorage, IoFaultPlan};
+        use flaml_store::{ChaosStorage, IoFaultPlan};
         let dir = std::env::temp_dir().join("flaml-journal-chaos-append");
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
@@ -390,7 +276,7 @@ mod tests {
         // Count the ops of one clean append so the chaos run can fault
         // exactly the second record's write.
         let clean = ChaosStorage::new(flaml_store::disk(), IoFaultPlan::new(0));
-        let mut w = JournalWriter::create_with(&clean, &path, &header()).unwrap();
+        let mut w = JournalWriter::create(&clean, &path, &header()).unwrap();
         let after_create = clean.ops_issued();
         w.append(&line(1));
         let per_append = clean.ops_issued() - after_create;
@@ -398,13 +284,13 @@ mod tests {
 
         // Short-write every op: header creation would fail, so create
         // cleanly first, then reopen under chaos for the append.
-        let mut w = JournalWriter::create(&path, &header()).unwrap();
+        let mut w = JournalWriter::create(&DiskStorage, &path, &header()).unwrap();
         w.append(&line(1));
         drop(w);
-        let committed = Journal::read(&path).unwrap().committed_bytes;
+        let committed = Journal::read(&DiskStorage, &path).unwrap().committed_bytes;
 
         let chaotic = ChaosStorage::new(flaml_store::disk(), IoFaultPlan::new(3).short_writes(1.0));
-        let mut w = JournalWriter::append_to_with(&chaotic, &path).unwrap();
+        let mut w = JournalWriter::resume(&chaotic, &path, committed).unwrap();
         w.append(&line(2));
         let err = w.take_error().expect("the torn append is reported");
         assert!(matches!(err, StorageError::TornWrite { .. }), "{err}");
@@ -413,8 +299,8 @@ mod tests {
 
         // The file is exactly its committed prefix — no torn bytes —
         // and reads back as the one committed record.
-        assert_eq!(DiskStorage.file_len(&path).unwrap(), committed);
-        let j = Journal::read(&path).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), committed);
+        let j = Journal::read(&DiskStorage, &path).unwrap();
         assert_eq!(j.trials.len(), 1);
         assert_eq!(j.committed_bytes, committed);
         std::fs::remove_dir_all(&dir).ok();
@@ -427,17 +313,20 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.jsonl");
-        let mut w = JournalWriter::create(&path, &header()).unwrap();
+        let mut w = JournalWriter::create(&DiskStorage, &path, &header()).unwrap();
         w.append(&line(1));
         drop(w);
+        let len = std::fs::metadata(&path).unwrap().len();
 
         let chaotic = ChaosStorage::new(flaml_store::disk(), IoFaultPlan::new(1).enospc(1.0));
-        let shared =
-            JournalWriter::append_to_with(&chaotic, &path).expect_err("open hits injected ENOSPC");
+        let shared = JournalWriter::resume(&chaotic, &path, len)
+            .expect_err("reopening hits injected ENOSPC");
         assert!(shared.is_no_space());
 
         // With faults off the shared handle reports no error.
-        let shared = JournalWriter::append_to(&path).unwrap().into_shared();
+        let shared = JournalWriter::resume(&DiskStorage, &path, len)
+            .unwrap()
+            .into_shared();
         let sink = shared.sink();
         drop(sink);
         assert!(shared.take_error().is_none());

@@ -11,15 +11,12 @@
 //! configuration — the property the determinism suite asserts across
 //! worker counts and kill-and-resume runs.
 //!
-//! Writing mirrors [`flaml_journal`]'s fsync-on-commit contract: every
-//! append syncs before returning and a failed append truncates back to
-//! the committed prefix. Reading tolerates a torn tail by returning the
-//! maximal committed prefix, exactly like [`flaml_journal::Journal`].
+//! The file is a [`flaml_journal::Log`]`<OnlineHeader, OnlineEvent>`:
+//! the trial journal's fsync-on-commit append and torn-tail-tolerant
+//! read, over these two record types.
 
-use flaml_core::{Storage, StorageError, StorageFile};
+use flaml_journal::LogHeader;
 use serde::{Deserialize, Serialize};
-use std::io;
-use std::path::{Path, PathBuf};
 
 /// Stream-journal schema version.
 pub const ONLINE_SCHEMA_VERSION: u32 = 1;
@@ -62,6 +59,14 @@ pub struct OnlineHeader {
     pub round_budget: f64,
     /// Trial cap per challenger search.
     pub round_trials: usize,
+}
+
+impl LogHeader for OnlineHeader {
+    const SCHEMA_VERSION: u32 = ONLINE_SCHEMA_VERSION;
+
+    fn schema_version(&self) -> u32 {
+        self.schema_version
+    }
 }
 
 /// Event kinds, as stored in [`OnlineEvent::kind`].
@@ -141,315 +146,5 @@ impl OnlineEvent {
             previous: 0,
             model_fp: 0,
         }
-    }
-}
-
-/// Why a stream journal could not be opened. Torn trailing *events* are
-/// not an error (the reader truncates to the committed prefix); only a
-/// missing file, an unparseable header, or a wrong schema version is.
-#[derive(Debug)]
-pub enum LogError {
-    /// The file does not exist, or its header line never committed
-    /// (a crash before the first sync) — either way, no stream state
-    /// was ever durable and the caller may recreate from scratch.
-    Missing,
-    /// A storage failure reading or writing.
-    Storage(StorageError),
-    /// A complete header line exists but does not parse, or the schema
-    /// version is unsupported: the journal is damaged beyond resume.
-    Corrupt(String),
-}
-
-impl std::fmt::Display for LogError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LogError::Missing => write!(f, "stream journal missing or header never committed"),
-            LogError::Storage(e) => write!(f, "stream journal storage error: {e}"),
-            LogError::Corrupt(msg) => write!(f, "stream journal corrupt: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for LogError {}
-
-/// A stream journal read back: header, committed events, and the byte
-/// length of the committed prefix.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LogContents {
-    /// The configuration header.
-    pub header: OnlineHeader,
-    /// Committed events in commit order.
-    pub events: Vec<OnlineEvent>,
-    /// Bytes of committed prefix (for truncate-then-append resume).
-    pub committed_bytes: u64,
-}
-
-/// Reads a stream journal, tolerating a torn tail (see [`LogError`]).
-///
-/// # Errors
-///
-/// [`LogError::Missing`] when no committed header exists,
-/// [`LogError::Corrupt`] for header damage, [`LogError::Storage`] for
-/// read failures.
-pub fn read_log(storage: &dyn Storage, path: &Path) -> Result<LogContents, LogError> {
-    if !storage.exists(path) {
-        return Err(LogError::Missing);
-    }
-    let bytes = storage.read(path).map_err(LogError::Storage)?;
-    let text = String::from_utf8_lossy(&bytes);
-    let mut offset = 0u64;
-    let mut lines = text.split_inclusive('\n');
-    let header_line = match lines.next() {
-        Some(l) if l.ends_with('\n') => l,
-        // Empty file or torn header: nothing was ever durably committed.
-        _ => return Err(LogError::Missing),
-    };
-    let header: OnlineHeader = serde_json::from_str(header_line.trim_end_matches('\n'))
-        .map_err(|e| LogError::Corrupt(format!("bad header: {e}")))?;
-    if header.schema_version != ONLINE_SCHEMA_VERSION {
-        return Err(LogError::Corrupt(format!(
-            "schema version {} unsupported (reader speaks {ONLINE_SCHEMA_VERSION})",
-            header.schema_version
-        )));
-    }
-    offset += header_line.len() as u64;
-    let mut events = Vec::new();
-    for line in lines {
-        if !line.ends_with('\n') {
-            break;
-        }
-        match serde_json::from_str::<OnlineEvent>(line.trim_end_matches('\n')) {
-            Ok(ev) => {
-                events.push(ev);
-                offset += line.len() as u64;
-            }
-            // First damaged record: everything after it is suspect.
-            Err(_) => break,
-        }
-    }
-    Ok(LogContents {
-        header,
-        events,
-        committed_bytes: offset,
-    })
-}
-
-/// The append side of the stream journal: fsync-on-commit, truncate on
-/// failed append — the same contract as [`flaml_journal::JournalWriter`].
-#[derive(Debug)]
-pub struct EventLog {
-    file: Box<dyn StorageFile>,
-    path: PathBuf,
-    committed_len: u64,
-}
-
-impl EventLog {
-    /// Creates (truncating) a stream journal and durably writes its
-    /// header.
-    ///
-    /// # Errors
-    ///
-    /// Any storage failure creating, writing, or syncing.
-    pub fn create(
-        storage: &dyn Storage,
-        path: &Path,
-        header: &OnlineHeader,
-    ) -> Result<EventLog, StorageError> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                storage.create_dir_all(dir)?;
-            }
-        }
-        let file = storage.create(path)?;
-        let mut log = EventLog {
-            file,
-            path: path.to_path_buf(),
-            committed_len: 0,
-        };
-        let json = serde_json::to_string(header).map_err(|e| StorageError::Io {
-            op: "serialize-header",
-            path: path.to_path_buf(),
-            source: io::Error::new(io::ErrorKind::InvalidData, e.to_string()),
-        })?;
-        log.write_line(&json)?;
-        Ok(log)
-    }
-
-    /// Reopens an existing journal for appending after truncating it to
-    /// `committed_bytes` (as reported by [`read_log`]), discarding any
-    /// torn tail.
-    ///
-    /// # Errors
-    ///
-    /// Any storage failure truncating or opening.
-    pub fn resume(
-        storage: &dyn Storage,
-        path: &Path,
-        committed_bytes: u64,
-    ) -> Result<EventLog, StorageError> {
-        storage.truncate_file(path, committed_bytes)?;
-        let file = storage.append(path)?;
-        Ok(EventLog {
-            file,
-            path: path.to_path_buf(),
-            committed_len: committed_bytes,
-        })
-    }
-
-    /// Appends one event durably (fsync before returning).
-    ///
-    /// # Errors
-    ///
-    /// The storage failure; the file is first truncated back to its
-    /// committed prefix so torn bytes never survive.
-    pub fn append(&mut self, event: &OnlineEvent) -> Result<(), StorageError> {
-        let json = serde_json::to_string(event).map_err(|e| StorageError::Io {
-            op: "serialize-event",
-            path: self.path.clone(),
-            source: io::Error::new(io::ErrorKind::InvalidData, e.to_string()),
-        })?;
-        self.write_line(&json)
-    }
-
-    fn write_line(&mut self, json: &str) -> Result<(), StorageError> {
-        let mut buf = Vec::with_capacity(json.len() + 1);
-        buf.extend_from_slice(json.as_bytes());
-        buf.push(b'\n');
-        let commit = (|| {
-            self.file.write_all(&buf)?;
-            self.file.sync_data()
-        })();
-        match commit {
-            Ok(()) => {
-                self.committed_len += buf.len() as u64;
-                Ok(())
-            }
-            Err(e) => {
-                let _ = self.file.truncate(self.committed_len);
-                Err(e)
-            }
-        }
-    }
-
-    /// Bytes known durably committed so far.
-    pub fn committed_len(&self) -> u64 {
-        self.committed_len
-    }
-}
-
-impl Drop for EventLog {
-    fn drop(&mut self) {
-        // Best-effort final sync; every committed append already synced.
-        let _ = self.file.sync_data();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use flaml_core::disk;
-
-    fn header() -> OnlineHeader {
-        OnlineHeader {
-            schema_version: ONLINE_SCHEMA_VERSION,
-            seed: 7,
-            task: "binary".into(),
-            features: 4,
-            metric: "log_loss".into(),
-            estimators: vec!["lr".into()],
-            window_chunks: 6,
-            holdout_chunks: 1,
-            warmup_chunks: 3,
-            drift_window: 3,
-            drift_threshold: 0.08,
-            promote_margin: 0.01,
-            probation_chunks: 2,
-            refresh_every: 0,
-            round_budget: 4.0,
-            round_trials: 6,
-        }
-    }
-
-    #[test]
-    fn round_trip_and_torn_tail() {
-        let dir = std::env::temp_dir().join("flaml-online-journal-test");
-        std::fs::remove_dir_all(&dir).ok();
-        let path = dir.join("online.jsonl");
-        let storage = disk();
-        let mut log = EventLog::create(storage.as_ref(), &path, &header()).unwrap();
-        let mut ev = OnlineEvent::new(kind::CHUNK, 0);
-        ev.fingerprint = 0xfeed;
-        ev.rows = 128;
-        log.append(&ev).unwrap();
-        let mut eval = OnlineEvent::new(kind::EVAL, 0);
-        eval.era = 1;
-        eval.loss = 0.25;
-        log.append(&eval).unwrap();
-        drop(log);
-
-        let contents = read_log(storage.as_ref(), &path).unwrap();
-        assert_eq!(contents.header, header());
-        assert_eq!(contents.events, vec![ev.clone(), eval.clone()]);
-
-        // Torn tail: append garbage without a newline — reader returns
-        // the committed prefix; resume truncates it away.
-        let committed = contents.committed_bytes;
-        use std::io::Write as _;
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .unwrap();
-        f.write_all(b"{\"kind\":\"ev").unwrap();
-        drop(f);
-        let contents = read_log(storage.as_ref(), &path).unwrap();
-        assert_eq!(contents.events.len(), 2);
-        assert_eq!(contents.committed_bytes, committed);
-        let log = EventLog::resume(storage.as_ref(), &path, committed).unwrap();
-        drop(log);
-        assert_eq!(storage.file_len(&path).unwrap(), committed);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn missing_and_torn_header_report_missing() {
-        let dir = std::env::temp_dir().join("flaml-online-journal-missing");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let storage = disk();
-        let path = dir.join("online.jsonl");
-        assert!(matches!(
-            read_log(storage.as_ref(), &path),
-            Err(LogError::Missing)
-        ));
-        // A header that never got its newline is as if never written.
-        std::fs::write(&path, b"{\"schema_version\":1").unwrap();
-        assert!(matches!(
-            read_log(storage.as_ref(), &path),
-            Err(LogError::Missing)
-        ));
-        // A complete but unparseable header is corruption.
-        std::fs::write(&path, b"not json\n").unwrap();
-        assert!(matches!(
-            read_log(storage.as_ref(), &path),
-            Err(LogError::Corrupt(_))
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn infinite_losses_round_trip() {
-        let dir = std::env::temp_dir().join("flaml-online-journal-inf");
-        std::fs::remove_dir_all(&dir).ok();
-        let path = dir.join("online.jsonl");
-        let storage = disk();
-        let mut log = EventLog::create(storage.as_ref(), &path, &header()).unwrap();
-        let mut ev = OnlineEvent::new(kind::REJECT, 4);
-        ev.loss = 0.5;
-        ev.baseline = f64::INFINITY;
-        log.append(&ev).unwrap();
-        drop(log);
-        let contents = read_log(storage.as_ref(), &path).unwrap();
-        assert_eq!(contents.events[0].baseline, f64::INFINITY);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -34,9 +34,7 @@
 
 use crate::chunk::{concat_chunks, parse_task, task_name, ChunkPayload};
 use crate::drift::{DriftDetector, DriftSignal};
-use crate::journal::{
-    kind, read_log, EventLog, LogError, OnlineEvent, OnlineHeader, ONLINE_SCHEMA_VERSION,
-};
+use crate::journal::{kind, OnlineEvent, OnlineHeader, ONLINE_SCHEMA_VERSION};
 use crate::promote::PromotionPolicy;
 use crate::OnlineError;
 use flaml_core::{
@@ -44,9 +42,10 @@ use flaml_core::{
     LearnerKind, ModelRegistry, PromoteReason, SearchHandle, Storage, TimeSource,
 };
 use flaml_data::{Dataset, Task};
+use flaml_journal::{Log, LogContents, LogError};
 use flaml_metrics::Metric;
 use std::collections::{BTreeMap, VecDeque};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Stream configuration; round-trips through the journal header, so a
@@ -366,12 +365,27 @@ struct FoldState {
     progress: Progress,
 }
 
+/// The stream log: one header line, then one committed event per line.
+type StreamLog = Log<OnlineHeader, OnlineEvent>;
+
+/// Reads the stream log at `path`. An absent file, like a torn header,
+/// means no stream state was ever durable.
+fn read_log(
+    storage: &dyn Storage,
+    path: &Path,
+) -> Result<LogContents<OnlineHeader, OnlineEvent>, LogError> {
+    if !storage.exists(path) {
+        return Err(LogError::Missing);
+    }
+    StreamLog::read(storage, path)
+}
+
 /// A durable streaming AutoML session (see the module docs).
 pub struct OnlineSession {
     cfg: OnlineConfig,
     rt: OnlineRuntime,
     dir: PathBuf,
-    log: EventLog,
+    log: StreamLog,
     metric: Metric,
     policy: PromotionPolicy,
     detector: DriftDetector,
@@ -423,11 +437,11 @@ impl OnlineSession {
                     dir.display()
                 )))
             }
-            Err(LogError::Corrupt(msg)) => return Err(OnlineError::Corrupt(msg)),
             Err(LogError::Storage(e)) => return Err(OnlineError::Durability(e)),
+            Err(e) => return Err(OnlineError::Corrupt(e.to_string())),
         }
         rt.storage.create_dir_all(&dir)?;
-        let log = EventLog::create(rt.storage.as_ref(), &journal, &cfg.to_header())?;
+        let log = StreamLog::create(rt.storage.as_ref(), &journal, &cfg.to_header())?;
         Ok(OnlineSession::blank(dir, cfg, rt, log))
     }
 
@@ -448,11 +462,11 @@ impl OnlineSession {
         let contents = read_log(rt.storage.as_ref(), &journal).map_err(OnlineError::Journal)?;
         let cfg = OnlineConfig::from_header(&contents.header)?;
         cfg.validate()?;
-        let log = EventLog::resume(rt.storage.as_ref(), &journal, contents.committed_bytes)?;
+        let log = StreamLog::resume(rt.storage.as_ref(), &journal, contents.committed_bytes)?;
         let mut s = OnlineSession::blank(dir, cfg, rt, log);
         s.sweep_stale_tmps()?;
 
-        let fold = s.fold(&contents.events)?;
+        let fold = s.fold(&contents.records)?;
         s.next_chunk = fold.next_chunk;
         s.last_fp = fold.last_fp;
         s.chunks_since_round = fold.chunks_since_round;
@@ -468,7 +482,7 @@ impl OnlineSession {
         s.n_reject = fold.n_reject;
         s.n_rollback = fold.n_rollback;
         s.last_loss = fold.last_loss;
-        s.events = contents.events;
+        s.events = contents.records;
 
         s.champion = s.load_champion(fold.champ_era)?;
         s.prev = s.load_champion(fold.prev_era)?;
@@ -515,7 +529,7 @@ impl OnlineSession {
         }
     }
 
-    fn blank(dir: PathBuf, cfg: OnlineConfig, rt: OnlineRuntime, log: EventLog) -> OnlineSession {
+    fn blank(dir: PathBuf, cfg: OnlineConfig, rt: OnlineRuntime, log: StreamLog) -> OnlineSession {
         let metric = cfg.resolved_metric();
         let policy = PromotionPolicy::new(cfg.promote_margin);
         let detector = DriftDetector::new(cfg.drift_window, cfg.drift_threshold);
@@ -871,7 +885,7 @@ impl OnlineSession {
                 .storage
                 .create_dir_all(&self.dir.join("champions"))?;
             let model_fp = model
-                .save_with(self.rt.storage.as_ref(), &artifact)
+                .save(self.rt.storage.as_ref(), &artifact)
                 .map_err(artifact_err)?;
             let previous_era = self.champion.as_ref().map_or(0, |c| c.era);
 
@@ -949,7 +963,8 @@ impl OnlineSession {
             // the previous round's journal is complete — rounds finish
             // before the next begins — so this read is identical on
             // the live and recovery paths.
-            if let Ok(journal) = Journal::read(self.round_journal_path(round_id - 1)) {
+            let previous = self.round_journal_path(round_id - 1);
+            if let Ok(journal) = Journal::read(self.rt.storage.as_ref(), previous) {
                 let points = journal.best_configs();
                 if !points.is_empty() {
                     settings = settings.starting_points(points);
@@ -1139,7 +1154,7 @@ impl OnlineSession {
         if era == 0 {
             return Ok(None);
         }
-        let model = CompiledModel::load_with(self.rt.storage.as_ref(), &self.champion_path(era))
+        let model = CompiledModel::load(self.rt.storage.as_ref(), self.champion_path(era))
             .map_err(artifact_err)?;
         Ok(Some(Champion { era, model }))
     }

@@ -6,7 +6,7 @@
 mod common;
 
 use common::{fast_config, runtime, scratch, stream};
-use flaml_core::{ChaosStorage, IoFaultPlan, Journal};
+use flaml_core::{ChaosStorage, DiskStorage, IoFaultPlan, Journal};
 use flaml_online::{LogError, OnlineError, OnlineSession};
 use std::sync::Arc;
 
@@ -44,10 +44,10 @@ fn trace_is_byte_identical_across_worker_counts() {
     // The challenger search journals are deterministic too.
     for entry in std::fs::read_dir(dir1.join("rounds")).unwrap() {
         let name = entry.unwrap().file_name();
-        let a = Journal::read(dir1.join("rounds").join(&name))
+        let a = Journal::read(&DiskStorage, dir1.join("rounds").join(&name))
             .unwrap()
             .canonical_bytes();
-        let b = Journal::read(dir4.join("rounds").join(&name))
+        let b = Journal::read(&DiskStorage, dir4.join("rounds").join(&name))
             .unwrap()
             .canonical_bytes();
         assert_eq!(a, b, "round journal {name:?} diverged across workers");

@@ -19,7 +19,7 @@
 
 use crate::error::ArtifactError;
 use crate::view::Bound;
-use flaml_data::{DatasetView, Task};
+use flaml_data::{fnv1a, DatasetView, Task, FNV_OFFSET};
 use flaml_learners::{Encoding, FittedModel, ForestModel, GbdtModel, LinearModel, StackedModel};
 use flaml_metrics::Pred;
 use flaml_store::{atomic_write_file, Storage};
@@ -34,12 +34,7 @@ pub const ARTIFACT_VERSION: u32 = 1;
 
 /// FNV-1a hash of a serialized payload (the artifact integrity check).
 pub fn fingerprint(payload: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in payload.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
+    fnv1a(FNV_OFFSET, payload.as_bytes())
 }
 
 /// A boosted ensemble compiled to structure-of-arrays form.
@@ -396,26 +391,21 @@ impl CompiledModel {
         Ok(file.model)
     }
 
-    /// Writes the artifact to `path` (creating parent directories) and
-    /// returns its payload fingerprint.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArtifactError::Io`] on filesystem failures.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<u64, ArtifactError> {
-        self.save_with(flaml_store::disk().as_ref(), path.as_ref())
-    }
-
-    /// [`CompiledModel::save`] against an explicit
-    /// [`flaml_store::Storage`]. The artifact is published atomically —
-    /// temp file, fsync, rename, parent-dir fsync — so a crash at any
-    /// point leaves either the previous artifact or none, never a torn
-    /// file under the final name.
+    /// Writes the artifact to `path` through `storage` (creating parent
+    /// directories) and returns its payload fingerprint. The artifact is
+    /// published atomically — temp file, fsync, rename, parent-dir
+    /// fsync — so a crash at any point leaves either the previous
+    /// artifact or none, never a torn file under the final name.
     ///
     /// # Errors
     ///
     /// Returns [`ArtifactError::Storage`] on persistence failures.
-    pub fn save_with(&self, storage: &dyn Storage, path: &Path) -> Result<u64, ArtifactError> {
+    pub fn save(
+        &self,
+        storage: &dyn Storage,
+        path: impl AsRef<Path>,
+    ) -> Result<u64, ArtifactError> {
+        let path = path.as_ref();
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 storage.create_dir_all(parent)?;
@@ -427,26 +417,17 @@ impl CompiledModel {
         Ok(fingerprint(&payload))
     }
 
-    /// Reads and verifies an artifact from `path`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CompiledModel::from_artifact_str`], plus
-    /// [`ArtifactError::Io`] on read failures.
-    pub fn load(path: impl AsRef<Path>) -> Result<CompiledModel, ArtifactError> {
-        let text = std::fs::read_to_string(path)?;
-        CompiledModel::from_artifact_str(&text)
-    }
-
-    /// [`CompiledModel::load`] against an explicit
-    /// [`flaml_store::Storage`].
+    /// Reads and verifies an artifact from `path` through `storage`.
     ///
     /// # Errors
     ///
     /// Same as [`CompiledModel::from_artifact_str`], plus
     /// [`ArtifactError::Storage`] on read failures.
-    pub fn load_with(storage: &dyn Storage, path: &Path) -> Result<CompiledModel, ArtifactError> {
-        let bytes = storage.read(path)?;
+    pub fn load(
+        storage: &dyn Storage,
+        path: impl AsRef<Path>,
+    ) -> Result<CompiledModel, ArtifactError> {
+        let bytes = storage.read(path.as_ref())?;
         let text = String::from_utf8_lossy(&bytes);
         CompiledModel::from_artifact_str(&text)
     }

@@ -211,6 +211,7 @@ mod tests {
     use flaml_data::Task;
     use flaml_exec::{event_channel, Telemetry};
     use flaml_learners::Encoding;
+    use flaml_store::DiskStorage;
 
     fn model(w: f64) -> CompiledModel {
         CompiledModel::Linear(CompiledLinear {
@@ -284,7 +285,7 @@ mod tests {
         let published = reg.get("m").unwrap();
         let dir = std::env::temp_dir().join("flaml-serve-registry-test");
         let path = dir.join("m.json");
-        let fp = model(1.5).save(&path).unwrap();
+        let fp = model(1.5).save(&DiskStorage, &path).unwrap();
         assert_eq!(published.fingerprint, fp);
     }
 }

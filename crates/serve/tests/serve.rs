@@ -13,6 +13,7 @@ use flaml_learners::{
 };
 use flaml_metrics::Pred;
 use flaml_serve::{BatchEngine, CompiledModel, ModelRegistry};
+use flaml_store::DiskStorage;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -131,8 +132,8 @@ fn artifact_disk_round_trip_preserves_predictions() {
         for (name, model) in fit_all(&data) {
             let compiled = CompiledModel::compile(&model).unwrap();
             let path = dir.join(format!("{name}-{task:?}.json"));
-            let fp = compiled.save(&path).unwrap();
-            let loaded = CompiledModel::load(&path).unwrap();
+            let fp = compiled.save(&DiskStorage, &path).unwrap();
+            let loaded = CompiledModel::load(&DiskStorage, &path).unwrap();
             assert_eq!(loaded, compiled, "{name} on {task:?}: artifact round trip");
             assert_eq!(
                 flaml_serve::fingerprint(&serde_json::to_string(&loaded).unwrap()),

@@ -18,8 +18,8 @@
 
 use crate::api::SearchStatus;
 use flaml_core::{
-    save_blob_with, ArtifactFormat, AutoMlError, AutoMlResult, BlobOptions, CompiledModel,
-    EventSink, Journal, ModelRegistry, SearchHandle, SliceOutcome, TrialEvent, TrialEventKind,
+    save_blob, ArtifactFormat, AutoMlError, AutoMlResult, BlobOptions, CompiledModel, EventSink,
+    Journal, ModelRegistry, SearchHandle, SliceOutcome, TrialEvent, TrialEventKind,
 };
 use flaml_data::Dataset;
 use flaml_store::{atomic_write_file, Storage};
@@ -292,9 +292,9 @@ impl Scheduler {
         let format = self.artifact_format;
         let path = dir.join(format!("{stem}{}", format.suffix()));
         let fp = match format {
-            ArtifactFormat::Json => compiled.save_with(self.storage.as_ref(), &path)?,
+            ArtifactFormat::Json => compiled.save(self.storage.as_ref(), &path)?,
             ArtifactFormat::Blob => {
-                save_blob_with(self.storage.as_ref(), &path, compiled, BlobOptions::tuned())?
+                save_blob(self.storage.as_ref(), &path, compiled, BlobOptions::tuned())?
             }
         };
         for other in ArtifactFormat::ALL {
@@ -430,8 +430,11 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 
 /// Reads the journal-backed progress of a search — committed trials,
 /// spent budget, best loss — used by recovery to report statuses.
-pub fn journal_progress(path: &std::path::Path) -> (usize, f64, Option<f64>) {
-    match Journal::read(path) {
+pub fn journal_progress(
+    storage: &dyn Storage,
+    path: &std::path::Path,
+) -> (usize, f64, Option<f64>) {
+    match Journal::read(storage, path) {
         Ok(j) => {
             let best = j.best_trial().map(|t| t.loss);
             (j.trials.len(), j.spent_budget(), best)

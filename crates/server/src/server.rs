@@ -289,10 +289,8 @@ impl Server {
                 continue;
             }
             let loaded = match format {
-                ArtifactFormat::Blob => {
-                    BlobModel::open_with(storage, &path).map(|b| b.to_compiled())
-                }
-                ArtifactFormat::Json => CompiledModel::load_with(storage, &path),
+                ArtifactFormat::Blob => BlobModel::open(storage, &path).map(|b| b.to_compiled()),
+                ArtifactFormat::Json => CompiledModel::load(storage, &path),
             };
             match loaded {
                 Ok(model) => return Some(model),
@@ -312,7 +310,8 @@ impl Server {
             .ok()
             .and_then(|text| serde_json::from_str(&text).ok());
         let terminal = |state: &str, slot: &str, version, error| {
-            let (committed, spent, best_loss) = journal_progress(&journal);
+            let storage = self.inner.cfg.storage.as_ref();
+            let (committed, spent, best_loss) = journal_progress(storage, &journal);
             crate::api::SearchStatus {
                 id: id.to_string(),
                 state: state.to_string(),
@@ -1071,7 +1070,7 @@ impl Server {
 
     /// Journals discovered under the state root (diagnostics).
     pub fn journals(&self) -> Vec<flaml_core::DiscoveredJournal> {
-        discover(&self.inner.cfg.root).unwrap_or_default()
+        discover(self.inner.cfg.storage.as_ref(), &self.inner.cfg.root).unwrap_or_default()
     }
 }
 

@@ -18,6 +18,7 @@ use flaml_core::{
     ArtifactFormat, BlobModel, BlobOptions, ChaosStorage, IoFaultPlan, Journal, SearchHandle,
 };
 use flaml_server::{FitRequest, Server, ServerConfig};
+use flaml_store::DiskStorage;
 use std::io::{Read, Write};
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -77,7 +78,7 @@ fn reference_bytes(request: &FitRequest, tag: &str) -> String {
         .journal(&path)
         .fit(&data)
         .expect("reference fit");
-    let bytes = Journal::read(&path)
+    let bytes = Journal::read(&DiskStorage, &path)
         .expect("reference journal")
         .canonical_bytes();
     let _ = std::fs::remove_file(&path);
@@ -118,7 +119,7 @@ fn crashpoint_sweep_recovers_byte_identically_at_every_op() {
         let done = await_terminal(addr, "acme", "s0000");
         assert_eq!(done.state, "finished", "{:?}", done.error);
         server.stop();
-        let resumed = Journal::read(root.join("acme/s0000.jsonl"))
+        let resumed = Journal::read(&DiskStorage, root.join("acme/s0000.jsonl"))
             .expect("journal")
             .canonical_bytes();
         assert_eq!(resumed, reference, "fault-free chaos run diverged");
@@ -168,7 +169,7 @@ fn crashpoint_sweep_recovers_byte_identically_at_every_op() {
             "op {k}: recovery did not finish: {:?}",
             done.error
         );
-        let resumed = Journal::read(root.join("acme/s0000.jsonl"))
+        let resumed = Journal::read(&DiskStorage, root.join("acme/s0000.jsonl"))
             .expect("journal parses after recovery")
             .canonical_bytes();
         assert_eq!(resumed, reference, "op {k}: journal diverged after crash");
@@ -219,7 +220,7 @@ fn torn_journal_tail_resumes_byte_identically_at_every_offset() {
         handle
             .run_to_end(&data, 4)
             .unwrap_or_else(|e| panic!("resume at cut {cut} failed: {e}"));
-        let resumed = Journal::read(&torn)
+        let resumed = Journal::read(&DiskStorage, &torn)
             .expect("torn journal parses")
             .canonical_bytes();
         assert_eq!(resumed, reference, "cut {cut}: resumed journal diverged");
@@ -306,10 +307,10 @@ fn corrupt_completion_artifact_is_quarantined_and_rederived() {
         assert!(stats_counter(addr, "storage_quarantined") >= 1, "cut {cut}");
         // The re-derived artifact is complete and loads.
         assert!(
-            flaml_core::CompiledModel::load(&artifact).is_ok(),
+            flaml_core::CompiledModel::load(&DiskStorage, &artifact).is_ok(),
             "cut {cut}: re-derived artifact unreadable"
         );
-        let resumed = Journal::read(root.join("acme/s0000.jsonl"))
+        let resumed = Journal::read(&DiskStorage, root.join("acme/s0000.jsonl"))
             .expect("journal")
             .canonical_bytes();
         assert_eq!(resumed, reference, "cut {cut}: journal changed");
@@ -399,7 +400,7 @@ fn enospc_mid_search_fails_typed_with_parseable_journal() {
     // The journal never holds torn bytes: if it exists, it parses.
     let journal = root.join("acme/s0000.jsonl");
     if journal.exists() {
-        Journal::read(&journal).expect("journal truncated to committed prefix");
+        Journal::read(&DiskStorage, &journal).expect("journal truncated to committed prefix");
     }
     server.stop();
 
@@ -474,16 +475,21 @@ fn blob_save_crashpoint_sweep_never_tears_the_final_name() {
     let dir = scratch_root("blob_save_sweep");
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let reference_path = dir.join("ref.artifact.blob");
-    let fp = flaml_core::save_blob(&compiled, &reference_path, BlobOptions::tuned())
-        .expect("reference save");
+    let fp = flaml_core::save_blob(
+        &DiskStorage,
+        &reference_path,
+        &compiled,
+        BlobOptions::tuned(),
+    )
+    .expect("reference save");
     let reference = std::fs::read(&reference_path).expect("reference bytes");
 
     // Count the mutating storage ops a fault-free blob save issues.
     let total = {
         let chaos = Arc::new(ChaosStorage::new(flaml_core::disk(), IoFaultPlan::new(1)));
-        flaml_core::save_blob_with(
+        flaml_core::save_blob(
             chaos.as_ref(),
-            &dir.join("clean.artifact.blob"),
+            dir.join("clean.artifact.blob"),
             &compiled,
             BlobOptions::tuned(),
         )
@@ -503,15 +509,14 @@ fn blob_save_crashpoint_sweep_never_tears_the_final_name() {
             flaml_core::disk(),
             IoFaultPlan::new(1).crash_at(k),
         ));
-        let saved =
-            flaml_core::save_blob_with(chaos.as_ref(), &path, &compiled, BlobOptions::tuned());
+        let saved = flaml_core::save_blob(chaos.as_ref(), &path, &compiled, BlobOptions::tuned());
         if path.exists() {
             assert_eq!(
                 std::fs::read(&path).expect("blob bytes"),
                 reference,
                 "op {k}: bytes under the final name are not the complete blob"
             );
-            let blob = BlobModel::open(&path)
+            let blob = BlobModel::open(&DiskStorage, &path)
                 .unwrap_or_else(|e| panic!("op {k}: blob under final name rejected: {e}"));
             assert_eq!(blob.fingerprint(), fp, "op {k}");
         } else {
@@ -580,10 +585,10 @@ fn torn_blob_completion_artifact_is_quarantined_and_rederived() {
         );
         // The re-derived blob is complete and validates.
         assert!(
-            BlobModel::open(&artifact).is_ok(),
+            BlobModel::open(&DiskStorage, &artifact).is_ok(),
             "corruption {i}: re-derived blob unreadable"
         );
-        let resumed = Journal::read(root.join("acme/s0000.jsonl"))
+        let resumed = Journal::read(&DiskStorage, root.join("acme/s0000.jsonl"))
             .expect("journal")
             .canonical_bytes();
         assert_eq!(resumed, reference, "corruption {i}: journal changed");
@@ -639,8 +644,9 @@ fn slot_recovery_prefers_blob_and_falls_back_to_json_when_corrupt() {
     // to `model_a` slab-for-slab.
     let root_a = scratch_root("dual_a");
     flaml_core::save_blob(
-        &model_a,
+        &DiskStorage,
         root_a.join("acme/slots/dual.artifact.blob"),
+        &model_a,
         flaml_core::BlobOptions::default(),
     )
     .expect("blob save");
@@ -648,7 +654,7 @@ fn slot_recovery_prefers_blob_and_falls_back_to_json_when_corrupt() {
 
     let root_b = scratch_root("dual_b");
     model_b
-        .save(root_b.join("acme/slots/dual.artifact.json"))
+        .save(&DiskStorage, root_b.join("acme/slots/dual.artifact.json"))
         .expect("json save");
     let fp_b = served_fp(root_b.clone());
     assert_ne!(
@@ -660,13 +666,14 @@ fn slot_recovery_prefers_blob_and_falls_back_to_json_when_corrupt() {
     let root = scratch_root("dual_both");
     let slots = root.join("acme/slots");
     flaml_core::save_blob(
-        &model_a,
+        &DiskStorage,
         slots.join("dual.artifact.blob"),
+        &model_a,
         flaml_core::BlobOptions::default(),
     )
     .expect("blob save");
     model_b
-        .save(slots.join("dual.artifact.json"))
+        .save(&DiskStorage, slots.join("dual.artifact.json"))
         .expect("json save");
     assert_eq!(
         served_fp(root.clone()),

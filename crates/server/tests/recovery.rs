@@ -8,6 +8,7 @@ mod common;
 use common::{await_terminal, fit_request, http, scratch_root};
 use flaml_core::{Journal, SearchHandle};
 use flaml_server::{FitAccepted, Server, ServerConfig};
+use flaml_store::DiskStorage;
 use std::io::Write;
 
 fn config(root: std::path::PathBuf) -> ServerConfig {
@@ -38,7 +39,9 @@ fn killed_midsearch_server_resumes_byte_identically() {
         .journal(&ref_path)
         .fit(&data)
         .unwrap();
-    let reference = Journal::read(&ref_path).unwrap().canonical_bytes();
+    let reference = Journal::read(&DiskStorage, &ref_path)
+        .unwrap()
+        .canonical_bytes();
 
     // Simulate a server that accepted the fit (durable sidecar), ran
     // one slice, and was then killed: the journal stops mid-search.
@@ -53,7 +56,7 @@ fn killed_midsearch_server_resumes_byte_identically() {
     let journal = tenant_dir.join("s0000.jsonl");
     let mut handle = SearchHandle::new(request.to_automl().unwrap(), &journal);
     handle.run_slice(&data, 5).unwrap();
-    let half = Journal::read(&journal).unwrap().trials.len();
+    let half = Journal::read(&DiskStorage, &journal).unwrap().trials.len();
     assert!(
         half > 0 && half < 12,
         "crash must land mid-search, got {half}"
@@ -71,7 +74,9 @@ fn killed_midsearch_server_resumes_byte_identically() {
 
     // The resumed journal is canonically byte-identical to the
     // uninterrupted reference run.
-    let resumed = Journal::read(&journal).unwrap().canonical_bytes();
+    let resumed = Journal::read(&DiskStorage, &journal)
+        .unwrap()
+        .canonical_bytes();
     assert_eq!(
         resumed, reference,
         "resumed journal diverged from reference"
@@ -95,7 +100,9 @@ fn killed_midsearch_server_resumes_byte_identically() {
     assert_eq!(done.committed, 12);
     let (status, _) = http(addr, "POST", "/tenants/acme/predict", predict);
     assert_eq!(status, 200);
-    let unchanged = Journal::read(&journal).unwrap().canonical_bytes();
+    let unchanged = Journal::read(&DiskStorage, &journal)
+        .unwrap()
+        .canonical_bytes();
     assert_eq!(
         unchanged, reference,
         "restart must not touch a finished journal"

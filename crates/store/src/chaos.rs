@@ -374,11 +374,6 @@ impl Storage for ChaosStorage {
         self.inner.read(path)
     }
 
-    fn file_len(&self, path: &Path) -> Result<u64, StorageError> {
-        self.state.check_alive(path)?;
-        self.inner.file_len(path)
-    }
-
     fn truncate_file(&self, path: &Path, len: u64) -> Result<(), StorageError> {
         self.gate(path)?;
         self.inner.truncate_file(path, len)

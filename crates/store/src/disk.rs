@@ -96,12 +96,6 @@ impl Storage for DiskStorage {
         fs::read(path).map_err(|e| io_err("read", path, e))
     }
 
-    fn file_len(&self, path: &Path) -> Result<u64, StorageError> {
-        fs::metadata(path)
-            .map(|m| m.len())
-            .map_err(|e| io_err("stat", path, e))
-    }
-
     fn truncate_file(&self, path: &Path, len: u64) -> Result<(), StorageError> {
         let file = OpenOptions::new()
             .write(true)

@@ -63,8 +63,6 @@ pub trait Storage: Send + Sync + std::fmt::Debug {
     fn append(&self, path: &Path) -> Result<Box<dyn StorageFile>, StorageError>;
     /// Reads a whole file.
     fn read(&self, path: &Path) -> Result<Vec<u8>, StorageError>;
-    /// Length of a file in bytes.
-    fn file_len(&self, path: &Path) -> Result<u64, StorageError>;
     /// Truncates the file at `path` to `len` bytes and syncs it —
     /// the journal's resume step (drop everything past the committed
     /// prefix) in one durable operation.
@@ -218,7 +216,6 @@ mod tests {
             ]
         );
         assert_eq!(disk.read(&dir.join("a.txt")).expect("read"), b"a.txt");
-        assert_eq!(disk.file_len(&dir.join("a.txt")).expect("len"), 5);
         assert!(disk.scan(&dir.join("missing")).expect("scan").is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
